@@ -2,7 +2,7 @@
 blockage: link-budget channel model, fixed-point threshold solver, and
 renewal-reward Monte Carlo simulator."""
 
-from .channel import LinkSample, RelayRegion, ScenarioConfig, default_scenario
+from .channel import RelayRegion, ScenarioConfig, default_scenario
 from .sedist import EmpiricalSe, OnOffSe, build_empirical
 from .simulator import (ExplicitThreshold, FixedBeta, GenieOnOff, Myopic,
                         OptimalThreshold, PeriodRecord, ThroughputEstimate,

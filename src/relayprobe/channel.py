@@ -57,9 +57,6 @@ class ScenarioConfig:
     # each hop is available w.p. p_avail and an available two-hop link runs
     # at exactly se_cap. Used for closed-form validation.
     channel_mode: str = "geometric"
-    # None = unbounded i.i.d. relay pool (the theory's assumption). A finite
-    # pool is exploratory only.
-    relay_pool_size: int | None = None
 
     def __post_init__(self):
         if not (0.0 < self.p_avail <= 1.0):
@@ -78,8 +75,6 @@ class ScenarioConfig:
             raise ConfigError("relay_region radius must be positive")
         if self.channel_mode not in ("geometric", "onoff"):
             raise ConfigError(f"unknown channel_mode {self.channel_mode!r}")
-        if self.relay_pool_size is not None and self.relay_pool_size < 1:
-            raise ConfigError("relay_pool_size must be >= 1 when set")
 
     # -- serialization -----------------------------------------------------
 
@@ -100,18 +95,22 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(d) - known
+        d = dict(d)
+        # relays form an unbounded i.i.d. pool; configs saved while a finite
+        # pool was an option still carry "relay_pool_size": null
+        if d.pop("relay_pool_size", None) is not None:
+            raise ConfigError("relay_pool_size must be null: relays form an "
+                              "unbounded i.i.d. pool")
+        unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        d = dict(d)
         region = d.get("relay_region")
         if not isinstance(region, dict) or set(region) != {"center", "radius"}:
             raise ConfigError("relay_region must be {'center': [x, y], 'radius': r}")
-        d["relay_region"] = RelayRegion(tuple(region["center"]), float(region["radius"]))
-        for key in ("source_pos", "dest_pos"):
-            if key in d:
-                d[key] = tuple(d[key])
+        d["relay_region"] = RelayRegion(_point(region["center"], "relay_region center"),
+                                        float(_number(region["radius"], "relay_region radius")))
+        for key in sorted(set(d) - {"relay_region", "channel_mode"}):
+            d[key] = (_point if key in ("source_pos", "dest_pos") else _number)(d[key], key)
         try:
             return cls(**d)
         except TypeError as exc:
@@ -129,14 +128,17 @@ class ScenarioConfig:
         return cls.from_dict(d)
 
 
-@dataclass(frozen=True)
-class LinkSample:
-    """One probed hop: blockage indicator, shadowing draw, and resulting SNR."""
+def _number(value, name: str):
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return value
 
-    blocked_indicator: int  # 1 = link available, 0 = blocked
-    shadowing_db: float
-    distance: float
-    snr_linear: float
+
+def _point(value, name: str) -> tuple:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"{name} must be two numbers [x, y], got {value!r}")
+    return tuple(_number(v, name) for v in value)
 
 
 def default_scenario(p_avail: float = 0.5, tau: float = 0.01, **overrides) -> ScenarioConfig:
@@ -224,30 +226,6 @@ def sample_relay_positions(rng: np.random.Generator, cfg: ScenarioConfig, n: int
         region.center[0] + r * np.cos(theta),
         region.center[1] + r * np.sin(theta),
     ])
-
-
-def sample_relay_link_pair(rng: np.random.Generator, cfg: ScenarioConfig):
-    """Draw one fresh relay: position, per-hop blockage/shadowing, and SNRs.
-
-    Returns (source->relay LinkSample, relay->dest LinkSample, position).
-    The first hop uses BS power and BS transmit gain; the second hop is
-    device-to-device.
-    """
-    pos = sample_relay_positions(rng, cfg, 1)[0]
-    chi1 = int(rng.random() < cfg.p_avail)
-    shadow1 = float(rng.normal(0.0, cfg.shadow_sigma))
-    chi2 = int(rng.random() < cfg.p_avail)
-    shadow2 = float(rng.normal(0.0, cfg.shadow_sigma))
-
-    d1 = float(np.hypot(*(pos - np.asarray(cfg.source_pos))))
-    d2 = float(np.hypot(*(np.asarray(cfg.dest_pos) - pos)))
-    s1 = snr_linear(cfg.tx_power_bs, cfg.bf_gain_bs, cfg.bf_gain_dev,
-                    d1, shadow1, chi1, cfg)
-    s2 = snr_linear(cfg.tx_power_dev, cfg.bf_gain_dev, cfg.bf_gain_dev,
-                    d2, shadow2, chi2, cfg)
-    first = LinkSample(chi1, shadow1, d1, s1)
-    second = LinkSample(chi2, shadow2, d2, s2)
-    return first, second, (float(pos[0]), float(pos[1]))
 
 
 def sample_two_hop_se_batch(rng: np.random.Generator, cfg: ScenarioConfig, n: int):

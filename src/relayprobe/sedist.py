@@ -96,25 +96,6 @@ class EmpiricalSe:
     def mean(self) -> float:
         return self._suffix[0] / self.samples.size
 
-    # -- persistence -------------------------------------------------------
-
-    def save(self, path) -> None:
-        """Write samples to .npy (binary) or CSV (one value per line)."""
-        path = str(path)
-        if path.endswith(".npy"):
-            np.save(path, self.samples)
-        else:
-            np.savetxt(path, self.samples, fmt="%.17g")
-
-    @classmethod
-    def load(cls, path, r_bar: float | None = None) -> "EmpiricalSe":
-        path = str(path)
-        if path.endswith(".npy"):
-            samples = np.load(path)
-        else:
-            samples = np.loadtxt(path, ndmin=1)
-        return cls(samples, r_bar=r_bar)
-
 
 SeDistribution = OnOffSe | EmpiricalSe
 

@@ -119,32 +119,9 @@ class Probe:
 
 
 def _probe_stream(rng: np.random.Generator, cfg: ScenarioConfig):
-    if cfg.relay_pool_size is not None and cfg.channel_mode == "geometric":
-        # exploratory finite pool: fixed positions for the whole period,
-        # cycled through; blockage and shadowing are redrawn per probe
-        pool = _channel.sample_relay_positions(rng, cfg, cfg.relay_pool_size)
-        i = 0
-        while True:
-            pos = pool[i % cfg.relay_pool_size]
-            i += 1
-            yield _probe_at_position(rng, cfg, pos)
     while True:
         chi1, chi2, se = _channel.sample_two_hop_se_batch(rng, cfg, 1)
         yield Probe(int(chi1[0]), int(chi2[0]), float(se[0]))
-
-
-def _probe_at_position(rng, cfg, pos):
-    chi1 = int(rng.random() < cfg.p_avail)
-    shadow1 = float(rng.normal(0.0, cfg.shadow_sigma))
-    chi2 = int(rng.random() < cfg.p_avail)
-    shadow2 = float(rng.normal(0.0, cfg.shadow_sigma))
-    d1 = float(np.hypot(pos[0] - cfg.source_pos[0], pos[1] - cfg.source_pos[1]))
-    d2 = float(np.hypot(cfg.dest_pos[0] - pos[0], cfg.dest_pos[1] - pos[1]))
-    s1 = _channel.snr_linear(cfg.tx_power_bs, cfg.bf_gain_bs, cfg.bf_gain_dev,
-                             d1, shadow1, chi1, cfg)
-    s2 = _channel.snr_linear(cfg.tx_power_dev, cfg.bf_gain_dev, cfg.bf_gain_dev,
-                             d2, shadow2, chi2, cfg)
-    return Probe(chi1, chi2, float(_channel.two_hop_se(s1, s2, cfg)))
 
 
 def run_period_from_probes(policy: StoppingPolicy, cfg: ScenarioConfig,

@@ -19,7 +19,7 @@ oscillates; it is kept only as a diagnostic (see `naive_fixed_point_trace`).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 from .sedist import OnOffSe, SeDistribution
 
@@ -42,7 +42,6 @@ class ConvergenceError(RuntimeError):
 class SolverSettings:
     rel_tol: float = 1e-10
     max_iter: int = 100
-    mu_init: float = 0.0
 
     def __post_init__(self):
         if self.rel_tol <= 0:
@@ -58,6 +57,7 @@ class StoppingSolution:
     iterations: int
     residual: float         # h(mu_star), bit/s
     method: str             # closed_form | newton_ratio | bisection
+    iterates: tuple[float, ...] = ()  # Newton-ratio iterates from mu = 0
 
     def to_dict(self) -> dict:
         return {
@@ -83,21 +83,6 @@ def fixed_point_residual(dist: SeDistribution, mu: float, W: float, T: float,
 def _newton_step(dist, mu, W, T, tau, p):
     rho = mu / W
     return W * T * dist.mean_above(rho) / (T * dist.tail_prob(rho) + tau * (1.0 + p))
-
-
-def newton_trace(dist: SeDistribution, W: float, T: float, tau: float, p: float,
-                 settings: SolverSettings | None = None) -> list[float]:
-    """Iterates of the Newton-ratio recursion, starting after mu_init."""
-    settings = settings or SolverSettings()
-    trace = []
-    mu = settings.mu_init
-    for _ in range(settings.max_iter):
-        mu_next = _newton_step(dist, mu, W, T, tau, p)
-        trace.append(mu_next)
-        if abs(mu_next - mu) <= settings.rel_tol * max(1.0, mu_next):
-            break
-        mu = mu_next
-    return trace
 
 
 def naive_fixed_point_trace(dist: SeDistribution, W: float, T: float, tau: float,
@@ -130,8 +115,9 @@ def solve_mu_star(dist: SeDistribution, W: float, T: float, tau: float, p: float
     """Compute the maximum throughput and the matching stopping threshold.
 
     `method` selects the primary iteration ("newton_ratio", default) or plain
-    bisection on [0, W*r_bar]. The Newton-ratio path falls back to bisection
-    if |h| ever fails to shrink after the first step.
+    bisection on [0, W*r_bar]. The Newton-ratio path starts at mu = 0 and
+    falls back to bisection if |h| ever fails to shrink after the first
+    step. Only a Newton-ratio solution carries its iterates.
     """
     if not (0.0 < p <= 1.0):
         raise ValueError("p must be in (0, 1]")
@@ -140,29 +126,30 @@ def solve_mu_star(dist: SeDistribution, W: float, T: float, tau: float, p: float
         raise DegenerateDistributionError("rate distribution has zero mean")
 
     if method == "bisection":
-        # drive the interval well below rel_tol so both methods agree tightly
-        mu, it = _bisect_mu(dist, W, T, tau, p, settings.rel_tol * 1e-3, 200)
-        res = fixed_point_residual(dist, mu, W, T, tau, p)
-        return StoppingSolution(mu, mu / W, it, res, "bisection")
+        return _bisection_solution(dist, W, T, tau, p, settings, 0)
     if method != "newton_ratio":
         raise ValueError(f"unknown method {method!r}")
 
-    mu = settings.mu_init
-    prev_abs_h = None
+    mu, prev_abs_h, iterates = 0.0, float("inf"), []
     for it in range(1, settings.max_iter + 1):
         mu_next = _newton_step(dist, mu, W, T, tau, p)
-        abs_h = abs(fixed_point_residual(dist, mu_next, W, T, tau, p))
-        if prev_abs_h is not None and abs_h > prev_abs_h:
-            mu, bis_it = _bisect_mu(dist, W, T, tau, p, settings.rel_tol * 1e-3, 200)
-            res = fixed_point_residual(dist, mu, W, T, tau, p)
-            return StoppingSolution(mu, mu / W, it + bis_it, res, "bisection")
+        h = fixed_point_residual(dist, mu_next, W, T, tau, p)
+        if abs(h) > prev_abs_h:
+            return _bisection_solution(dist, W, T, tau, p, settings, it)
+        iterates.append(mu_next)
         if abs(mu_next - mu) <= settings.rel_tol * max(1.0, mu_next):
-            return StoppingSolution(mu_next, mu_next / W, it,
-                                    fixed_point_residual(dist, mu_next, W, T, tau, p),
-                                    "newton_ratio")
-        prev_abs_h = abs_h
+            return StoppingSolution(mu_next, mu_next / W, it, h, "newton_ratio",
+                                    tuple(iterates))
+        prev_abs_h = abs(h)
         mu = mu_next
     raise ConvergenceError(f"no convergence in {settings.max_iter} iterations", mu)
+
+
+def _bisection_solution(dist, W, T, tau, p, settings, newton_iterations):
+    # drive the interval well below rel_tol so both methods agree tightly
+    mu, it = _bisect_mu(dist, W, T, tau, p, settings.rel_tol * 1e-3, 200)
+    return StoppingSolution(mu, mu / W, newton_iterations + it,
+                            fixed_point_residual(dist, mu, W, T, tau, p), "bisection")
 
 
 def solve_rho(dist: SeDistribution, mu: float, W: float, T: float, tau: float,

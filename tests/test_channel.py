@@ -8,8 +8,8 @@ from scipy import stats
 import relayprobe as rp
 from relayprobe.channel import (ConfigError, RelayRegion, ScenarioConfig,
                                 db_to_linear, linear_to_db, noise_power_dbm,
-                                pathloss_db, sample_relay_link_pair,
-                                sample_relay_positions, snr_linear, two_hop_se)
+                                pathloss_db, sample_relay_positions,
+                                sample_two_hop_se_batch, snr_linear, two_hop_se)
 
 
 @pytest.fixture
@@ -93,18 +93,26 @@ def test_db_linear_round_trip():
 
 class TestRelaySampling:
     def test_degenerate_randomness(self):
+        # every hop clear and no shadowing: each rate follows from its relay
+        # position alone, and the positions are the stream's first draws
         cfg = rp.default_scenario(p_avail=1.0, shadow_sigma=0.0)
-        rng = np.random.default_rng(0)
-        first, second, _ = sample_relay_link_pair(rng, cfg)
-        assert first.blocked_indicator == 1 and second.blocked_indicator == 1
-        assert first.shadowing_db == 0.0 and second.shadowing_db == 0.0
-        assert first.snr_linear > 0 and second.snr_linear > 0
+        n = 1000
+        chi1, chi2, se = sample_two_hop_se_batch(np.random.default_rng(0), cfg, n)
+        assert np.all(chi1 == 1) and np.all(chi2 == 1)
+        pos = sample_relay_positions(np.random.default_rng(0), cfg, n)
+        d1 = np.hypot(*(pos - cfg.source_pos).T)
+        d2 = np.hypot(*(np.asarray(cfg.dest_pos) - pos).T)
+        s1 = snr_linear(cfg.tx_power_bs, cfg.bf_gain_bs, cfg.bf_gain_dev,
+                        d1, 0.0, 1, cfg)
+        s2 = snr_linear(cfg.tx_power_dev, cfg.bf_gain_dev, cfg.bf_gain_dev,
+                        d2, 0.0, 1, cfg)
+        assert np.all(se > 0)
+        assert np.array_equal(se, two_hop_se(s1, s2, cfg))
 
     def test_first_hop_blockage_fraction(self):
         cfg = rp.default_scenario(p_avail=0.5)
         rng = np.random.default_rng(1)
         n = 10 ** 6
-        from relayprobe.channel import sample_two_hop_se_batch
         chi1, _, _ = sample_two_hop_se_batch(rng, cfg, n)
         frac = chi1.mean()
         stderr = math.sqrt(0.25 / n)
@@ -112,7 +120,6 @@ class TestRelaySampling:
 
     def test_blocked_first_hop_zeroes_rate(self):
         cfg = rp.default_scenario(p_avail=0.5)
-        from relayprobe.channel import sample_two_hop_se_batch
         chi1, chi2, se = sample_two_hop_se_batch(np.random.default_rng(3), cfg, 10 ** 5)
         blocked = (chi1 == 0) | (chi2 == 0)
         assert np.all(se[blocked] == 0.0)
@@ -149,6 +156,42 @@ class TestScenarioConfig:
         path.write_text(json.dumps(d))
         with pytest.raises(ConfigError, match="mystery"):
             ScenarioConfig.from_json(path)
+
+    def test_null_relay_pool_size_loads(self, cfg, tmp_path):
+        # configs saved while a finite relay pool was an option carry this key
+        d = cfg.to_dict()
+        d["relay_pool_size"] = None
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(d))
+        loaded = ScenarioConfig.from_json(path)
+        assert loaded == cfg
+        loaded.to_json(path)
+        assert ScenarioConfig.from_json(path) == cfg
+
+    def test_finite_relay_pool_rejected(self, cfg):
+        d = cfg.to_dict()
+        d["relay_pool_size"] = 3
+        with pytest.raises(ConfigError, match="relay_pool_size"):
+            ScenarioConfig.from_dict(d)
+
+    @pytest.mark.parametrize("key,value,match", [
+        ("source_pos", 5, "source_pos"),
+        ("dest_pos", [250.0], "dest_pos"),
+        ("source_pos", [-250.0, "a"], "source_pos"),
+        ("source_pos", [True, 0.0], "source_pos"),
+        ("relay_region", {"center": 0.0, "radius": 250.0}, "center"),
+        ("relay_region", {"center": [0.0, None], "radius": 250.0}, "center"),
+        ("relay_region", {"center": [0.0, 0.0], "radius": "abc"}, "radius"),
+        ("relay_region", {"center": [0.0, 0.0], "radius": [250.0]}, "radius"),
+        ("relay_region", {"center": [0.0, 0.0], "radius": float("nan")}, "radius"),
+        ("tx_power_bs", "abc", "tx_power_bs"),
+        ("tau", float("inf"), "tau"),
+    ])
+    def test_malformed_values_rejected(self, cfg, key, value, match):
+        d = cfg.to_dict()
+        d[key] = value
+        with pytest.raises(ConfigError, match=match):
+            ScenarioConfig.from_dict(d)
 
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -118,6 +118,15 @@ class TestSolveCommand:
         res = runner.invoke(main, ["solve", str(path)])
         assert res.exit_code != 0
 
+    def test_malformed_value_reported(self, runner, tmp_path):
+        cfg = rp.default_scenario().to_dict()
+        cfg["source_pos"] = 5
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        res = runner.invoke(main, ["solve", str(path)])
+        assert res.exit_code != 0
+        assert "bad config" in res.output and "source_pos" in res.output
+
 
 class TestSweepCommand:
     def write_spec(self, tmp_path, **kw):

@@ -136,20 +136,3 @@ class TestBuildEmpirical:
         with pytest.raises(ValueError):
             build_empirical(cfg, 0, np.random.default_rng(0))
 
-
-class TestPersistence:
-    @pytest.mark.parametrize("name", ["samples.csv", "samples.npy"])
-    def test_round_trip(self, tmp_path, name):
-        d = EmpiricalSe([0.25, 1.0, 1.75], r_bar=2.0)
-        path = tmp_path / name
-        d.save(path)
-        loaded = EmpiricalSe.load(path, r_bar=2.0)
-        assert np.array_equal(loaded.samples, d.samples)
-        assert loaded.support_max == 2.0
-
-    def test_csv_is_one_value_per_line(self, tmp_path):
-        d = EmpiricalSe([0.5, 1.5])
-        path = tmp_path / "s.csv"
-        d.save(path)
-        lines = path.read_text().strip().splitlines()
-        assert [float(x) for x in lines] == [0.5, 1.5]

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import relayprobe as rp
+from relayprobe.channel import RelayRegion, ScenarioConfig
 from relayprobe.simulator import (CHUNK_PERIODS, ExplicitThreshold, FixedBeta,
                                   GenieOnOff, Myopic, OptimalThreshold,
                                   PeriodRecord, Probe, RunawayPeriodError,
@@ -196,6 +198,48 @@ class TestDeterminism:
         a = estimate_throughput(Myopic(), cfg, 5000, seed=1)
         b = estimate_throughput(Myopic(), cfg, 5000, seed=2)
         assert a.throughput_bps != b.throughput_bps
+
+
+# one perturbation per ScenarioConfig field, each away from
+# default_scenario(p_avail=0.5); se_cap goes to 1.0 because the default 8
+# never binds on the geometric law
+FIELD_PERTURBATIONS = {
+    "source_pos": (-200.0, 0.0),
+    "dest_pos": (200.0, 50.0),
+    "relay_region": RelayRegion((0.0, 50.0), 200.0),
+    "tx_power_bs": 20.0,
+    "tx_power_dev": 13.0,
+    "bf_gain_bs": 10.0,
+    "bf_gain_dev": 5.0,
+    "bandwidth_W": 250e6,
+    "noise_psd": -170.0,
+    "noise_figure": 10.0,
+    "pathloss_a": 150.0,
+    "pathloss_b": 30.0,
+    "shadow_sigma": 3.0,
+    "p_avail": 0.6,
+    "tau": 0.02,
+    "T_data": 0.5,
+    "se_cap": 1.0,
+    "channel_mode": "onoff",
+}
+
+
+class TestEveryConfigFieldHonoured:
+    def test_table_covers_every_field(self):
+        # a new field must be honoured by the engine (and perturbed here)
+        # or rejected by the config
+        fields = {f.name for f in dataclasses.fields(ScenarioConfig)}
+        assert set(FIELD_PERTURBATIONS) == fields
+
+    @pytest.mark.parametrize("field", sorted(FIELD_PERTURBATIONS))
+    def test_perturbation_moves_output(self, field):
+        base = rp.default_scenario(p_avail=0.5)
+        cfg = dataclasses.replace(base, **{field: FIELD_PERTURBATIONS[field]})
+        a = simulate_periods(Myopic(), base, 2000, 3)
+        b = simulate_periods(Myopic(), cfg, 2000, 3)
+        assert not all(np.array_equal(x, y) for x, y in
+                       zip(dataclasses.astuple(a), dataclasses.astuple(b)))
 
 
 class TestEngineAgainstScalarLoop:

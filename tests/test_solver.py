@@ -9,8 +9,7 @@ from relayprobe.solver import (ConvergenceError, DegenerateDistributionError,
                                InfeasibleError, SolverSettings,
                                StoppingSolution, closed_form_onoff,
                                fixed_point_residual, genie_ratio_onoff,
-                               naive_fixed_point_trace, newton_trace,
-                               ordinary_value, solve_mu_star, solve_rho)
+                               naive_fixed_point_trace, ordinary_value, solve_mu_star, solve_rho)
 
 ONOFF = OnOffSe(0.5, 2.0)
 
@@ -21,6 +20,7 @@ class TestClosedForm:
         assert sol.mu_star == pytest.approx(0.5 / 0.265, rel=1e-12)
         assert sol.threshold_se == sol.mu_star
         assert sol.method == "closed_form"
+        assert sol.iterates == ()
 
     def test_zero_overhead_reaches_genie(self):
         for p in (0.2, 0.7, 1.0):
@@ -72,14 +72,18 @@ class TestSolveMuStar:
 
     def test_iteration_trace(self):
         # one step from 0 lands at p^2*r/(1 + tau*(1+p)), the next at the root
-        trace = newton_trace(ONOFF, 1.0, 1.0, 0.01, 0.5)
+        sol = solve_mu_star(ONOFF, 1.0, 1.0, 0.01, 0.5)
+        trace = sol.iterates
+        assert len(trace) == sol.iterations
+        assert trace[-1] == sol.mu_star
         assert trace[0] == pytest.approx(0.5 / 1.015, rel=1e-12)
         assert trace[1] == pytest.approx(0.5 / 0.265, rel=1e-12)
 
     def test_iterates_monotone_from_second(self):
         rng = np.random.default_rng(0)
         dist = EmpiricalSe(rng.random(20000) * 2.0)
-        trace = newton_trace(dist, 1.0, 1.0, 0.01, 0.5)
+        trace = solve_mu_star(dist, 1.0, 1.0, 0.01, 0.5).iterates
+        assert len(trace) >= 3
         assert all(a <= b + 1e-12 for a, b in zip(trace[1:], trace[2:]))
 
     def test_residual_is_small(self):
@@ -92,6 +96,7 @@ class TestSolveMuStar:
         for dist in (ONOFF, EmpiricalSe(rng.random(20000) * 2.0)):
             a = solve_mu_star(dist, 1.0, 1.0, 0.01, 0.5)
             b = solve_mu_star(dist, 1.0, 1.0, 0.01, 0.5, method="bisection")
+            assert b.iterates == ()
             assert b.mu_star == pytest.approx(a.mu_star, rel=1e-9)
 
     def test_zero_mean_distribution_rejected(self):
@@ -165,13 +170,15 @@ class TestOrdinaryValue:
 
 class TestSolution:
     def test_json_schema(self, tmp_path):
-        sol = closed_form_onoff(0.5, 2.0, 1.0, 1.0, 0.01)
-        path = tmp_path / "sol.json"
-        sol.to_json(path)
-        d = json.loads(path.read_text())
-        assert set(d) == {"mu_star_bps", "threshold_se", "iterations",
-                          "residual", "method"}
-        assert d["mu_star_bps"] == sol.mu_star
+        # the Newton iterates stay out of the JSON
+        for sol in (closed_form_onoff(0.5, 2.0, 1.0, 1.0, 0.01),
+                    solve_mu_star(ONOFF, 1.0, 1.0, 0.01, 0.5)):
+            path = tmp_path / "sol.json"
+            sol.to_json(path)
+            d = json.loads(path.read_text())
+            assert set(d) == {"mu_star_bps", "threshold_se", "iterations",
+                              "residual", "method"}
+            assert d["mu_star_bps"] == sol.mu_star
 
     def test_settings_validation(self):
         with pytest.raises(ValueError):
