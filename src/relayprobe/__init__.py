@@ -4,7 +4,7 @@ renewal-reward Monte Carlo simulator."""
 
 from .channel import RelayRegion, ScenarioConfig, default_scenario
 from .sedist import EmpiricalSe, OnOffSe, build_empirical
-from .simulator import (ExplicitThreshold, FixedBeta, GenieOnOff, Myopic,
+from .simulator import (MYOPIC, ExplicitThreshold, FixedBeta,
                         OptimalThreshold, PeriodRecord, ThroughputEstimate,
                         estimate_throughput, run_period, simulate_periods)
 from .solver import (SolverSettings, StoppingSolution, closed_form_onoff,

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 
@@ -13,7 +14,7 @@ import numpy as np
 
 from . import sedist, simulator, solver
 from .channel import ConfigError, ScenarioConfig
-from .simulator import (ExplicitThreshold, FixedBeta, GenieOnOff, Myopic,
+from .simulator import (MYOPIC, ExplicitThreshold, FixedBeta,
                         OptimalThreshold, RunawayPeriodError)
 
 SWEEP_COLUMNS = ["variable", "value", "strategy", "p", "tau", "T", "W",
@@ -48,31 +49,44 @@ class SweepSpec:
     def from_json(cls, path) -> "SweepSpec":
         with open(path) as f:
             d = json.load(f)
+        if not isinstance(d, dict):
+            raise ValueError("sweep spec must be a JSON object")
         known = {"variable", "grid", "strategies", "n_periods", "seed"}
         unknown = set(d) - known
         if unknown:
             raise ValueError(f"unknown sweep keys: {sorted(unknown)}")
+        grid, strategies = d["grid"], d["strategies"]
+        n_periods, seed = d["n_periods"], d.get("seed", 0)
+        if not isinstance(grid, list) or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool)
+                and math.isfinite(v) for v in grid):
+            raise ValueError(f"grid must be a list of finite numbers, got {grid!r}")
+        if not isinstance(strategies, list) or not all(
+                isinstance(v, str) for v in strategies):
+            raise ValueError(f"strategies must be a list of strings, got {strategies!r}")
+        for key, v in (("n_periods", n_periods), ("seed", seed)):
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValueError(f"{key} must be an integer, got {v!r}")
         return cls(
             variable=d["variable"],
-            grid=tuple(float(v) for v in d["grid"]),
-            strategies=tuple(d["strategies"]),
-            n_periods=int(d["n_periods"]),
-            seed=int(d.get("seed", 0)),
+            grid=tuple(float(v) for v in grid),
+            strategies=tuple(strategies),
+            n_periods=n_periods,
+            seed=seed,
         )
 
 
 def parse_strategy(name: str, threshold_value: float | None = None):
     """Map a strategy string to a policy.
 
-    Accepted: optimal, myopic, genie, fixed:<beta>, threshold:<rho>, and bare
-    "threshold" when the sweep variable supplies the threshold value.
+    Accepted: optimal, myopic, fixed:<beta>, threshold:<rho>, and bare
+    "threshold" when the sweep variable supplies the threshold value. The
+    "genie" bound is not a policy; `sweep_rows` writes it directly.
     """
     if name == "optimal":
         return OptimalThreshold()
     if name == "myopic":
-        return Myopic()
-    if name == "genie":
-        return GenieOnOff()
+        return MYOPIC
     if name == "threshold":
         if threshold_value is None:
             raise ValueError("bare 'threshold' strategy needs a threshold sweep")
@@ -86,31 +100,34 @@ def parse_strategy(name: str, threshold_value: float | None = None):
 
 def sweep_rows(cfg: ScenarioConfig, spec: SweepSpec, workers: int = 1) -> list[list]:
     """Execute a sweep, yielding one row per (grid value, strategy) in
-    deterministic order. Per-point simulation errors go in the `error`
-    column and the sweep continues."""
+    deterministic order. Per-point errors, a grid value the config rejects
+    included, go in the `error` column and the sweep continues."""
     rows = []
     for value in spec.grid:
-        if spec.variable == "p_avail":
-            cfg_pt = replace(cfg, p_avail=value)
-        elif spec.variable == "tau":
-            cfg_pt = replace(cfg, tau=value)
-        else:
-            cfg_pt = cfg
+        point = {spec.variable: value} if spec.variable in ("p_avail", "tau") else {}
+        threshold = value if spec.variable == "threshold" else None
         for strategy in spec.strategies:
-            threshold = value if spec.variable == "threshold" else None
             est_fields = ["", ""]
             err = ""
             try:
-                policy = parse_strategy(strategy, threshold)
-                est = simulator.estimate_throughput(
-                    policy, cfg_pt, spec.n_periods, spec.seed, workers)
-                est_fields = [repr(est.throughput_bps), repr(est.stderr_bps)]
+                cfg_pt = replace(cfg, **point)
+                if strategy == "genie":
+                    # free perfect relay knowledge: every period carries
+                    # W*se_cap bit/s with no probing, an exact bound
+                    genie_bps = float(cfg_pt.bandwidth_W * cfg_pt.se_cap)
+                    est_fields = [repr(genie_bps), repr(0.0)]
+                else:
+                    policy = parse_strategy(strategy, threshold)
+                    est = simulator.estimate_throughput(
+                        policy, cfg_pt, spec.n_periods, spec.seed, workers)
+                    est_fields = [repr(est.throughput_bps), repr(est.stderr_bps)]
             except (RunawayPeriodError, solver.DegenerateDistributionError,
                     solver.InfeasibleError, ValueError) as exc:
                 err = f"{type(exc).__name__}: {exc}"
             rows.append([spec.variable, repr(float(value)), strategy,
-                         repr(cfg_pt.p_avail), repr(cfg_pt.tau),
-                         repr(cfg_pt.T_data), repr(cfg_pt.bandwidth_W),
+                         repr(point.get("p_avail", cfg.p_avail)),
+                         repr(point.get("tau", cfg.tau)),
+                         repr(cfg.T_data), repr(cfg.bandwidth_W),
                          est_fields[0], est_fields[1],
                          spec.n_periods, spec.seed, err])
     return rows

@@ -13,6 +13,7 @@ fixed-size chunks, each chunk drawing from its own substream seeded by
 from __future__ import annotations
 
 import csv
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -43,16 +44,20 @@ class OptimalThreshold:
 
 @dataclass(frozen=True)
 class ExplicitThreshold:
+    """Stop at the first relay whose rate reaches rho."""
     rho: float
 
     def __post_init__(self):
-        if self.rho < 0:
-            raise ValueError("rho must be nonnegative")
+        if not math.isfinite(self.rho) or self.rho < 0:
+            raise ValueError("rho must be finite and nonnegative")
 
 
-@dataclass(frozen=True)
-class Myopic:
-    """Stop at the first relay with both hops available, regardless of rate."""
+# A relay's rate is positive exactly when both hops are clear, so "stop at
+# the first dual-clear relay" is the threshold at the smallest positive rate.
+# A dual-clear relay whose SNR is below about -163 dB rounds to rate 0.0
+# (1 + 2*SNR == 1) and is passed over like a blocked one; if every relay is
+# that weak, the period ends in RunawayPeriodError.
+MYOPIC = ExplicitThreshold(math.ulp(0.0))
 
 
 @dataclass(frozen=True)
@@ -65,17 +70,7 @@ class FixedBeta:
             raise ValueError("beta must be >= 1")
 
 
-@dataclass(frozen=True)
-class GenieOnOff:
-    """Free perfect relay knowledge: throughput W*r_bar with no probing."""
-
-
-StoppingPolicy = OptimalThreshold | ExplicitThreshold | Myopic | FixedBeta | GenieOnOff
-
-
-def myopic_stop_test(first_hop: int, second_hop: int) -> bool:
-    """True iff both hops are available (link can be established)."""
-    return bool(first_hop) and bool(second_hop)
+StoppingPolicy = OptimalThreshold | ExplicitThreshold | FixedBeta
 
 
 def resolve_policy(policy: StoppingPolicy, cfg: ScenarioConfig,
@@ -114,14 +109,13 @@ class PeriodRecord:
 class Probe:
     """One probed relay as seen by a stopping rule."""
     first_hop: int
-    second_hop: int
     rate: float
 
 
 def _probe_stream(rng: np.random.Generator, cfg: ScenarioConfig):
     while True:
-        chi1, chi2, se = _channel.sample_two_hop_se_batch(rng, cfg, 1)
-        yield Probe(int(chi1[0]), int(chi2[0]), float(se[0]))
+        chi1, _, se = _channel.sample_two_hop_se_batch(rng, cfg, 1)
+        yield Probe(int(chi1[0]), float(se[0]))
 
 
 def run_period_from_probes(policy: StoppingPolicy, cfg: ScenarioConfig,
@@ -129,14 +123,11 @@ def run_period_from_probes(policy: StoppingPolicy, cfg: ScenarioConfig,
     """Run one period against an explicit probe sequence.
 
     A relay whose first hop is blocked costs tau and has rate 0; otherwise it
-    costs 2*tau. Threshold and myopic rules transmit with the relay probed at
-    the stopping stage; FixedBeta transmits with the best of its beta relays.
+    costs 2*tau. A threshold rule transmits with the relay probed at the
+    stopping stage; FixedBeta transmits with the best of its beta relays.
     """
     W, T, tau = cfg.bandwidth_W, cfg.T_data, cfg.tau
-    if isinstance(policy, GenieOnOff):
-        r = cfg.se_cap
-        return PeriodRecord(0, T, W * T * r, r, r)
-
+    fixed = isinstance(policy, FixedBeta)
     probe_time = 0.0
     running_max = 0.0
     n = 0
@@ -148,18 +139,10 @@ def run_period_from_probes(policy: StoppingPolicy, cfg: ScenarioConfig,
         probe_time += tau * (1 + probe.first_hop)
         rate = probe.rate if probe.first_hop else 0.0
         running_max = max(running_max, rate)
-        if isinstance(policy, ExplicitThreshold):
-            if rate >= policy.rho:
-                return PeriodRecord(n, probe_time + T, W * T * rate, rate, running_max)
-        elif isinstance(policy, Myopic):
-            if myopic_stop_test(probe.first_hop, probe.second_hop):
-                return PeriodRecord(n, probe_time + T, W * T * rate, rate, running_max)
-        elif isinstance(policy, FixedBeta):
-            if n == policy.beta:
-                return PeriodRecord(n, probe_time + T, W * T * running_max,
-                                    running_max, running_max)
-        else:
-            raise TypeError(f"unsupported policy {policy!r}")
+        if (n == policy.beta) if fixed else (rate >= policy.rho):
+            selected = running_max if fixed else rate
+            return PeriodRecord(n, probe_time + T, W * T * selected, selected,
+                                running_max)
     raise RunawayPeriodError("probe sequence exhausted before stopping")
 
 
@@ -186,15 +169,6 @@ def _simulate_chunk(policy, cfg, seed, chunk_index, n_periods, max_probes):
     rng = np.random.default_rng([seed, chunk_index])
     W, T, tau = cfg.bandwidth_W, cfg.T_data, cfg.tau
 
-    if isinstance(policy, GenieOnOff):
-        r = cfg.se_cap
-        return PeriodArrays(
-            np.zeros(n_periods, dtype=np.int64),
-            np.full(n_periods, T),
-            np.full(n_periods, W * T * r),
-            np.full(n_periods, r),
-        )
-
     if isinstance(policy, FixedBeta):
         beta = policy.beta
         chi1, _, se = _channel.sample_two_hop_se_batch(rng, cfg, n_periods * beta)
@@ -206,25 +180,16 @@ def _simulate_chunk(policy, cfg, seed, chunk_index, n_periods, max_probes):
             time, W * T * best, best,
         )
 
-    if isinstance(policy, ExplicitThreshold):
-        def accepts(chi1, chi2, se):
-            return se >= policy.rho
-    elif isinstance(policy, Myopic):
-        def accepts(chi1, chi2, se):
-            return (chi1 & chi2).astype(bool)
-    else:
-        raise TypeError(f"unsupported policy {policy!r}")
-
-    # Probes are i.i.d. and every stop test is per-probe, so a flat probe
+    # Probes are i.i.d. and the threshold test is per-probe, so a flat probe
     # stream serves all periods back to back: period i ends at the i-th
     # accepted probe. Draw blocks until n_periods probes have been accepted.
-    chi1_parts, time_parts, rate_parts, accept_parts = [], [], [], []
+    time_parts, rate_parts, accept_parts = [], [], []
     n_accepted = 0
     drawn_since_accept = 0
     block = 1 << 14
     while n_accepted < n_periods:
-        chi1, chi2, se = _channel.sample_two_hop_se_batch(rng, cfg, block)
-        acc = accepts(chi1, chi2, se)
+        chi1, _, se = _channel.sample_two_hop_se_batch(rng, cfg, block)
+        acc = se >= policy.rho
         k = int(acc.sum())
         if k == 0:
             drawn_since_accept += block
@@ -233,7 +198,6 @@ def _simulate_chunk(policy, cfg, seed, chunk_index, n_periods, max_probes):
         if drawn_since_accept > max_probes:
             raise RunawayPeriodError(
                 f"no stop within {max_probes} probes; threshold above support?")
-        chi1_parts.append(chi1)
         time_parts.append(tau * (1 + chi1))
         rate_parts.append(se)
         accept_parts.append(acc)

@@ -19,7 +19,7 @@ from relayprobe.channel import sample_two_hop_se_batch
 from relayprobe.cli import SweepSpec, main, run_sweep
 from relayprobe.sedist import EmpiricalSe, OnOffSe, build_empirical
 from relayprobe.sedist import SeDistribution  # noqa: F401  (re-export check)
-from relayprobe.simulator import (ExplicitThreshold, FixedBeta, Myopic,
+from relayprobe.simulator import (MYOPIC, ExplicitThreshold, FixedBeta,
                                   OptimalThreshold, estimate_throughput,
                                   resolve_policy, simulate_periods)
 from relayprobe.solver import (SolverSettings, closed_form_onoff,
@@ -172,7 +172,7 @@ def test_criterion_4_threshold_sweep_structure(threshold_sweeps):
 @pytest.fixture(scope="module")
 def strategy_table():
     """(throughput, stderr) per strategy over p = 0.1..1.0, tau = 10 ms."""
-    policies = {"optimal": OptimalThreshold(), "myopic": Myopic(),
+    policies = {"optimal": OptimalThreshold(), "myopic": MYOPIC,
                 "fixed5": FixedBeta(5), "fixed10": FixedBeta(10)}
     table = {}
     for p in P_GRID:
@@ -233,7 +233,7 @@ def test_criterion_5_myopic_near_optimal_at_heavy_blockage(strategy_table):
     with _Gate(5, "myopic-optimal gap matches theory, zero on on/off links"):
         cfg = rp.default_scenario(p_avail=0.1, tau=0.01, channel_mode="onoff")
         opt_arr = simulate_periods(OptimalThreshold(), cfg, 10 ** 5, seed=13)
-        myo_arr = simulate_periods(Myopic(), cfg, 10 ** 5, seed=13)
+        myo_arr = simulate_periods(MYOPIC, cfg, 10 ** 5, seed=13)
         for field in dataclasses.fields(opt_arr):
             assert np.array_equal(getattr(opt_arr, field.name),
                                   getattr(myo_arr, field.name))

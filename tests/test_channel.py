@@ -119,11 +119,15 @@ class TestRelaySampling:
         assert abs(frac - 0.5) < 3 * stderr
 
     def test_blocked_first_hop_zeroes_rate(self):
-        cfg = rp.default_scenario(p_avail=0.5)
-        chi1, chi2, se = sample_two_hop_se_batch(np.random.default_rng(3), cfg, 10 ** 5)
-        blocked = (chi1 == 0) | (chi2 == 0)
-        assert np.all(se[blocked] == 0.0)
-        assert np.all(se[~blocked] > 0.0)
+        # the rate is positive exactly when both hops are clear, which is
+        # what lets myopic stopping be the threshold at the smallest
+        # positive rate
+        configs = [rp.default_scenario(p_avail=p) for p in (0.1, 0.5, 0.9)]
+        configs += [rp.default_scenario(p_avail=0.5, shadow_sigma=0.0),
+                    rp.default_scenario(p_avail=0.5, channel_mode="onoff")]
+        for cfg in configs:
+            chi1, chi2, se = sample_two_hop_se_batch(np.random.default_rng(3), cfg, 10 ** 5)
+            assert np.array_equal(se > 0.0, (chi1 & chi2).astype(bool))
 
     def test_mean_squared_distance_from_center(self):
         cfg = rp.default_scenario()

@@ -7,8 +7,8 @@ from click.testing import CliRunner
 import relayprobe as rp
 from relayprobe.cli import (SWEEP_COLUMNS, SweepSpec, main, parse_strategy,
                             run_sweep)
-from relayprobe.simulator import (ExplicitThreshold, FixedBeta, GenieOnOff,
-                                  Myopic, OptimalThreshold)
+from relayprobe.simulator import (MYOPIC, ExplicitThreshold, FixedBeta,
+                                  OptimalThreshold)
 
 
 @pytest.fixture
@@ -33,15 +33,15 @@ def read_rows(path):
 class TestParseStrategy:
     def test_known_names(self):
         assert isinstance(parse_strategy("optimal"), OptimalThreshold)
-        assert isinstance(parse_strategy("myopic"), Myopic)
-        assert isinstance(parse_strategy("genie"), GenieOnOff)
+        assert parse_strategy("myopic") == MYOPIC
         assert parse_strategy("fixed:5") == FixedBeta(5)
         assert parse_strategy("threshold:1.2") == ExplicitThreshold(1.2)
         assert parse_strategy("threshold", 0.7) == ExplicitThreshold(0.7)
 
     def test_unknown_rejected(self):
-        with pytest.raises(ValueError):
-            parse_strategy("wishful")
+        for name in ("wishful", "threshold:nan", "threshold:inf", "threshold:-1"):
+            with pytest.raises(ValueError):
+                parse_strategy(name)
 
     def test_bare_threshold_needs_value(self):
         with pytest.raises(ValueError):
@@ -156,6 +156,57 @@ class TestSweepCommand:
         assert res.exit_code == 0
         for row in read_rows(out):
             assert float(row["throughput_bps"]) <= 1.0 * 2.0 + 1e-9
+
+    @pytest.mark.parametrize("scenario, text", [
+        ({"channel_mode": "onoff", "bandwidth_W": 1.0, "se_cap": 2.0}, "2.0"),
+        ({"T_data": 0.7}, "4000000000.0"),
+    ], ids=["onoff", "geometric_T0.7"])
+    def test_genie_row_is_exact(self, runner, tmp_path, scenario, text):
+        # the genie bound is the constant W*se_cap with no error bar, at
+        # any T_data and under any grid variable
+        cfg_path = tmp_path / "cfg.json"
+        rp.default_scenario(**scenario).to_json(cfg_path)
+        spec = self.write_spec(tmp_path, variable="tau", grid=[0.01, 0.05],
+                               strategies=["genie"], n_periods=1000)
+        out = tmp_path / "out.csv"
+        res = runner.invoke(main, ["sweep", str(cfg_path), spec, "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        rows = read_rows(out)
+        assert [r["tau"] for r in rows] == ["0.01", "0.05"]
+        for row in rows:
+            assert (row["throughput_bps"], row["stderr_bps"], row["error"]) == (text, "0.0", "")
+
+    def test_bad_grid_value_is_an_error_row(self, runner, onoff_cfg_path, tmp_path):
+        # p_avail = 1.5 is rejected by the config; that row records the
+        # error and the swept value, and the sweep still writes its CSV
+        spec = self.write_spec(tmp_path, grid=[0.5, 1.5], strategies=["myopic"],
+                               n_periods=100)
+        out = tmp_path / "out.csv"
+        res = runner.invoke(main, ["sweep", onoff_cfg_path, spec, "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        rows = read_rows(out)
+        assert len(rows) == 2
+        assert rows[0]["error"] == "" and rows[0]["throughput_bps"] != ""
+        assert rows[1]["error"].startswith("ConfigError")
+        assert (rows[1]["p"], rows[1]["throughput_bps"]) == ("1.5", "")
+
+    @pytest.mark.parametrize("spec_text", [
+        '[1, 2]',
+        '{"variable": "p_avail", "grid": 5, "strategies": ["myopic"], "n_periods": 100}',
+        '{"variable": "p_avail", "grid": [0.5, "x"], "strategies": ["myopic"], "n_periods": 100}',
+        '{"variable": "p_avail", "grid": [0.5], "strategies": "myopic", "n_periods": 100}',
+        '{"variable": "p_avail", "grid": [0.5], "strategies": [5], "n_periods": 100}',
+        '{"variable": "p_avail", "grid": [0.5], "strategies": ["myopic"], "n_periods": null}',
+        '{"variable": "p_avail", "grid": [0.5], "strategies": ["myopic"], "n_periods": 100, "seed": 1.5}',
+    ])
+    def test_malformed_spec_reported(self, runner, onoff_cfg_path, tmp_path, spec_text):
+        spec = tmp_path / "spec.json"
+        spec.write_text(spec_text)
+        res = runner.invoke(main, ["sweep", onoff_cfg_path, str(spec),
+                                   "--out", str(tmp_path / "o.csv")])
+        assert res.exit_code != 0
+        assert "bad sweep spec" in res.output
+        assert res.exc_info[0] is SystemExit and "Traceback" not in res.output
 
     def test_empty_strategies_usage_error(self, runner, onoff_cfg_path, tmp_path):
         spec = self.write_spec(tmp_path, strategies=[])

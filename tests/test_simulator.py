@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 import relayprobe as rp
-from relayprobe.channel import RelayRegion, ScenarioConfig
-from relayprobe.simulator import (CHUNK_PERIODS, ExplicitThreshold, FixedBeta,
-                                  GenieOnOff, Myopic, OptimalThreshold,
-                                  PeriodRecord, Probe, RunawayPeriodError,
-                                  batch_means_stderr, estimate_throughput,
-                                  myopic_stop_test, resolve_policy, run_period,
-                                  run_period_from_probes, simulate_periods)
+from relayprobe.channel import (RelayRegion, ScenarioConfig,
+                                sample_two_hop_se_batch)
+from relayprobe.simulator import (CHUNK_PERIODS, MYOPIC, ExplicitThreshold,
+                                  FixedBeta, OptimalThreshold, PeriodRecord,
+                                  Probe, RunawayPeriodError, batch_means_stderr,
+                                  estimate_throughput, resolve_policy,
+                                  run_period, run_period_from_probes,
+                                  simulate_periods)
 
 
 def onoff_cfg(p=0.5, tau=0.01, se_cap=2.0, W=1.0):
@@ -19,23 +20,11 @@ def onoff_cfg(p=0.5, tau=0.01, se_cap=2.0, W=1.0):
                                bandwidth_W=W, channel_mode="onoff")
 
 
-class TestMyopicStopTest:
-    def test_both_clear(self):
-        assert myopic_stop_test(1, 1)
-
-    def test_first_blocked(self):
-        assert not myopic_stop_test(0, 1)
-        assert not myopic_stop_test(0, 0)
-
-    def test_second_blocked(self):
-        assert not myopic_stop_test(1, 0)
-
-
 class TestRunPeriodFromProbes:
     def test_hand_trace_threshold(self):
         # relay 1: first hop blocked (tau); relay 2: both clear, R = 1.5 (2*tau)
         cfg = onoff_cfg()
-        probes = [Probe(0, 1, 0.0), Probe(1, 1, 1.5)]
+        probes = [Probe(0, 0.0), Probe(1, 1.5)]
         rec = run_period_from_probes(ExplicitThreshold(1.0), cfg, probes)
         assert rec.n_probed == 2
         assert rec.period_time == pytest.approx(cfg.tau + 2 * cfg.tau + cfg.T_data)
@@ -44,7 +33,7 @@ class TestRunPeriodFromProbes:
 
     def test_fixed_beta_takes_best(self):
         cfg = onoff_cfg()
-        probes = [Probe(1, 0, 0.0), Probe(1, 1, 0.7), Probe(1, 1, 0.4)]
+        probes = [Probe(1, 0.0), Probe(1, 0.7), Probe(1, 0.4)]
         rec = run_period_from_probes(FixedBeta(3), cfg, probes)
         assert rec.n_probed == 3
         assert rec.bits == pytest.approx(cfg.bandwidth_W * cfg.T_data * 0.7)
@@ -52,7 +41,7 @@ class TestRunPeriodFromProbes:
 
     def test_fixed_beta_all_blocked_still_transmits(self):
         cfg = onoff_cfg()
-        probes = [Probe(0, 0, 0.0)] * 2
+        probes = [Probe(0, 0.0)] * 2
         rec = run_period_from_probes(FixedBeta(2), cfg, probes)
         assert rec.bits == 0.0
         assert rec.period_time == pytest.approx(2 * cfg.tau + cfg.T_data)
@@ -60,28 +49,30 @@ class TestRunPeriodFromProbes:
     def test_blocked_first_hop_rate_forced_zero(self):
         cfg = onoff_cfg()
         # rate on the probe is ignored when the first hop is blocked
-        probes = [Probe(0, 1, 9.9), Probe(1, 1, 1.0)]
+        probes = [Probe(0, 9.9), Probe(1, 1.0)]
         rec = run_period_from_probes(ExplicitThreshold(0.5), cfg, probes)
         assert rec.n_probed == 2
 
     def test_time_accounting(self):
         cfg = onoff_cfg()
-        probes = [Probe(1, 0, 0.0), Probe(0, 0, 0.0), Probe(1, 1, 2.0)]
+        probes = [Probe(1, 0.0), Probe(0, 0.0), Probe(1, 2.0)]
         rec = run_period_from_probes(ExplicitThreshold(1.0), cfg, probes)
         n_unblocked_first = 2
         assert rec.period_time == pytest.approx(
             cfg.tau * (rec.n_probed + n_unblocked_first) + cfg.T_data)
 
     def test_myopic_ignores_rate(self):
+        # a second-hop block zeroes the rate; myopic then takes the first
+        # relay with any positive rate, not the better one after it
         cfg = onoff_cfg()
-        probes = [Probe(1, 0, 0.9), Probe(1, 1, 0.01)]
-        rec = run_period_from_probes(Myopic(), cfg, probes)
+        probes = [Probe(1, 0.0), Probe(1, 0.01), Probe(1, 0.9)]
+        rec = run_period_from_probes(MYOPIC, cfg, probes)
         assert rec.n_probed == 2
         assert rec.selected_se == 0.01
 
     def test_runaway(self):
         cfg = onoff_cfg()
-        probes = [Probe(0, 0, 0.0)] * 10
+        probes = [Probe(0, 0.0)] * 10
         with pytest.raises(RunawayPeriodError):
             run_period_from_probes(ExplicitThreshold(1.0), cfg, probes, max_probes=5)
 
@@ -94,12 +85,6 @@ class TestRunPeriod:
         assert rec.period_time == pytest.approx(2 * cfg.tau + cfg.T_data)
         assert rec.selected_se == cfg.se_cap
 
-    def test_genie(self):
-        cfg = onoff_cfg()
-        rec = run_period(GenieOnOff(), cfg, np.random.default_rng(0))
-        assert rec.period_time == cfg.T_data
-        assert rec.bits == cfg.bandwidth_W * cfg.T_data * cfg.se_cap
-
     def test_runaway_threshold_above_support(self):
         cfg = onoff_cfg()
         with pytest.raises(RunawayPeriodError):
@@ -108,10 +93,19 @@ class TestRunPeriod:
 
     def test_geometric_mode(self):
         cfg = rp.default_scenario(p_avail=0.9)
-        rec = run_period(Myopic(), cfg, np.random.default_rng(1))
+        rec = run_period(MYOPIC, cfg, np.random.default_rng(1))
         assert rec.n_probed >= 1
         assert rec.period_time >= cfg.tau + cfg.T_data
         assert 0 <= rec.selected_se <= cfg.se_cap
+
+    def test_myopic_passes_over_zero_rate_relays(self):
+        # below about -163 dB SNR a dual-clear relay's rate rounds to 0.0,
+        # which the threshold at the smallest positive rate never accepts
+        cfg = rp.default_scenario(p_avail=1.0, pathloss_a=400.0)
+        _, _, se = sample_two_hop_se_batch(np.random.default_rng(0), cfg, 1000)
+        assert np.all(se == 0.0)
+        with pytest.raises(RunawayPeriodError):
+            simulate_periods(MYOPIC, cfg, 100, 0, max_probes=1000)
 
 
 class TestResolvePolicy:
@@ -125,7 +119,7 @@ class TestResolvePolicy:
 
     def test_non_optimal_policies_pass_through(self):
         cfg = onoff_cfg()
-        pol = Myopic()
+        pol = MYOPIC
         assert resolve_policy(pol, cfg) is pol
 
     def test_geometric_resolution_is_deterministic(self):
@@ -144,16 +138,10 @@ class TestEstimateThroughput:
         assert abs(est.throughput_bps - mu) < 3 * est.stderr_bps
         assert abs(est.throughput_bps - mu) / mu < 0.01
 
-    def test_genie_exact_with_zero_variance(self):
-        cfg = onoff_cfg()
-        est = estimate_throughput(GenieOnOff(), cfg, 1000, seed=0)
-        assert est.throughput_bps == cfg.bandwidth_W * cfg.se_cap
-        assert est.stderr_bps == 0.0
-
     def test_myopic_equals_threshold_when_always_available(self):
         # p = 1 in on/off mode: every relay qualifies for both rules
         cfg = onoff_cfg(p=1.0, tau=0.05)
-        my = estimate_throughput(Myopic(), cfg, 1000, seed=2)
+        my = estimate_throughput(MYOPIC, cfg, 1000, seed=2)
         expected = cfg.T_data / (cfg.T_data + 2 * cfg.tau) * cfg.bandwidth_W * cfg.se_cap
         assert my.throughput_bps == pytest.approx(expected, rel=1e-12)
         th = estimate_throughput(OptimalThreshold(), cfg, 1000, seed=2)
@@ -168,11 +156,11 @@ class TestEstimateThroughput:
 
     def test_minimum_periods_enforced(self):
         with pytest.raises(ValueError):
-            estimate_throughput(Myopic(), onoff_cfg(), 10, seed=0)
+            estimate_throughput(MYOPIC, onoff_cfg(), 10, seed=0)
 
     def test_totals_consistent(self):
         cfg = onoff_cfg()
-        est = estimate_throughput(Myopic(), cfg, 500, seed=4)
+        est = estimate_throughput(MYOPIC, cfg, 500, seed=4)
         assert est.throughput_bps == pytest.approx(est.total_bits / est.total_time)
         assert est.n_periods == 500
 
@@ -180,8 +168,8 @@ class TestEstimateThroughput:
 class TestDeterminism:
     def test_same_seed_same_result(self):
         cfg = onoff_cfg()
-        a = estimate_throughput(Myopic(), cfg, 5000, seed=7)
-        b = estimate_throughput(Myopic(), cfg, 5000, seed=7)
+        a = estimate_throughput(MYOPIC, cfg, 5000, seed=7)
+        b = estimate_throughput(MYOPIC, cfg, 5000, seed=7)
         assert a == b
 
     def test_worker_count_invariance(self):
@@ -195,8 +183,8 @@ class TestDeterminism:
 
     def test_different_seeds_differ(self):
         cfg = onoff_cfg()
-        a = estimate_throughput(Myopic(), cfg, 5000, seed=1)
-        b = estimate_throughput(Myopic(), cfg, 5000, seed=2)
+        a = estimate_throughput(MYOPIC, cfg, 5000, seed=1)
+        b = estimate_throughput(MYOPIC, cfg, 5000, seed=2)
         assert a.throughput_bps != b.throughput_bps
 
 
@@ -236,8 +224,8 @@ class TestEveryConfigFieldHonoured:
     def test_perturbation_moves_output(self, field):
         base = rp.default_scenario(p_avail=0.5)
         cfg = dataclasses.replace(base, **{field: FIELD_PERTURBATIONS[field]})
-        a = simulate_periods(Myopic(), base, 2000, 3)
-        b = simulate_periods(Myopic(), cfg, 2000, 3)
+        a = simulate_periods(MYOPIC, base, 2000, 3)
+        b = simulate_periods(MYOPIC, cfg, 2000, 3)
         assert not all(np.array_equal(x, y) for x, y in
                        zip(dataclasses.astuple(a), dataclasses.astuple(b)))
 
@@ -260,8 +248,8 @@ class TestEngineAgainstScalarLoop:
 class TestBatchMeans:
     def test_stderr_shrinks_with_periods(self):
         cfg = onoff_cfg()
-        a = estimate_throughput(Myopic(), cfg, 20000, seed=12)
-        b = estimate_throughput(Myopic(), cfg, 80000, seed=12)
+        a = estimate_throughput(MYOPIC, cfg, 20000, seed=12)
+        b = estimate_throughput(MYOPIC, cfg, 80000, seed=12)
         ratio = b.stderr_bps / a.stderr_bps
         # quadrupling periods should halve the stderr, within MC wobble
         assert 0.3 < ratio < 0.8
@@ -275,7 +263,7 @@ class TestTraceCsv:
     def test_columns_and_rows(self, tmp_path):
         cfg = onoff_cfg()
         path = tmp_path / "trace.csv"
-        estimate_throughput(Myopic(), cfg, 100, seed=0, trace_path=path)
+        estimate_throughput(MYOPIC, cfg, 100, seed=0, trace_path=path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "period_index,n_probed,period_time_s,bits,selected_se"
         assert len(lines) == 101
