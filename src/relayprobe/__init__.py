@@ -3,7 +3,7 @@ blockage: link-budget channel model, fixed-point threshold solver, and
 renewal-reward Monte Carlo simulator."""
 
 from .channel import RelayRegion, ScenarioConfig, default_scenario
-from .sedist import EmpiricalSe, OnOffSe, build_empirical
+from .sedist import EmpiricalSe, build_empirical
 from .simulator import (MYOPIC, ExplicitThreshold, FixedBeta,
                         OptimalThreshold, PeriodRecord, ThroughputEstimate,
                         estimate_throughput, run_period, simulate_periods)

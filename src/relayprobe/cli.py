@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import click
 import numpy as np
 
-from . import sedist, simulator, solver
+from . import simulator, solver
 from .channel import ConfigError, ScenarioConfig
 from .simulator import (MYOPIC, ExplicitThreshold, FixedBeta,
                         OptimalThreshold, RunawayPeriodError)
@@ -44,6 +44,8 @@ class SweepSpec:
             raise ValueError("strategies must be nonempty")
         if self.n_periods < 30:
             raise ValueError("n_periods must be >= 30")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     @classmethod
     def from_json(cls, path) -> "SweepSpec":
@@ -160,31 +162,26 @@ def main():
 
 @main.command()
 @click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--dist-mode", type=click.Choice(["onoff", "empirical"]),
-              default="onoff", show_default=True,
-              help="Rate law for the solver: analytic on/off atoms or an "
-                   "empirical Monte Carlo sample of the scenario.")
-@click.option("--samples", default=10 ** 6, show_default=True,
-              help="Sample count for --dist-mode empirical.")
-@click.option("--seed", default=0, show_default=True)
+@click.option("--samples", default=10 ** 6, show_default=True, type=click.IntRange(min=1),
+              help="Clear-link draws for a geometric config's rate law.")
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
               help="Write the solution JSON here.")
-def solve(config_path, dist_mode, samples, seed, out_path):
-    """Compute the maximum throughput and stopping threshold for CONFIG_PATH."""
+def solve(config_path, samples, seed, out_path):
+    """Compute the maximum throughput and stopping threshold for CONFIG_PATH
+    on the config's own rate law: exact for on/off links, Monte Carlo
+    clear-link draws for geometric ones."""
     cfg = _load_config(config_path)
-    if dist_mode == "onoff":
-        dist = sedist.OnOffSe(cfg.p_avail, cfg.se_cap)
-    else:
-        rng = np.random.default_rng([seed, simulator._DIST_STREAM_ID])
-        dist = sedist.build_empirical(cfg, samples, rng)
     try:
-        sol = solver.solve_mu_star(dist, cfg.bandwidth_W, cfg.T_data,
-                                   cfg.tau, cfg.p_avail)
+        sol = simulator.optimal_solution(cfg, seed, samples)
     except (solver.DegenerateDistributionError, solver.ConvergenceError) as exc:
         raise click.ClickException(str(exc))
+    onoff = cfg.channel_mode == "onoff"
+    click.echo("rate law: onoff" if onoff else
+               f"rate law: geometric, {samples} clear-link draws, seed {seed}")
     click.echo(f"mu_star: {sol.mu_star:.6g} bit/s")
     click.echo(f"threshold: {sol.threshold_se:.6g} bit/s/Hz")
-    if dist_mode == "onoff":
+    if onoff:
         ratio = solver.genie_ratio_onoff(cfg.p_avail, cfg.tau, cfg.T_data)
         click.echo(f"genie_ratio: {ratio:.6g}")
     if out_path:
@@ -196,7 +193,8 @@ def solve(config_path, dist_mode, samples, seed, out_path):
 @click.argument("sweep_spec_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", "out_csv", type=click.Path(dir_okay=False), required=True)
 @click.option("--workers", default=1, show_default=True)
-@click.option("--seed", default=None, type=int, help="Override the spec's seed.")
+@click.option("--seed", default=None, type=click.IntRange(min=0),
+              help="Override the spec's seed.")
 @click.option("--periods", default=None, type=int, help="Override the spec's n_periods.")
 def sweep(config_path, sweep_spec_path, out_csv, workers, seed, periods):
     """Run the sweep described by SWEEP_SPEC_PATH and write a CSV."""
@@ -218,8 +216,8 @@ def sweep(config_path, sweep_spec_path, out_csv, workers, seed, periods):
 @click.option("--figure-id", type=click.Choice(["threshold_sweep", "strategy_vs_p"]),
               required=True)
 @click.option("--out", "out_csv", type=click.Path(dir_okay=False), required=True)
-@click.option("--seed", default=0, show_default=True)
-@click.option("--periods", default=10 ** 5, show_default=True)
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
+@click.option("--periods", default=10 ** 5, show_default=True, type=click.IntRange(min=30))
 @click.option("--workers", default=1, show_default=True)
 def figure(config_path, figure_id, out_csv, seed, periods, workers):
     """Run a canonical figure sweep and emit plot-ready CSV.

@@ -1,62 +1,30 @@
-"""Distributions of two-hop spectral efficiency and their tail functionals.
+"""The two-hop rate law and its tail functionals.
 
-The fixed-point solver only ever needs three queries of the rate law R:
+A probed relay's rate is R = 0 when either hop is blocked (probability
+1 - p**2) and otherwise the clear-link rate R_c, whose law depends on
+geometry and shadowing but not on p. One type holds that law: sorted
+clear-link samples composed exactly with the blockage atom at 0.
+
+The fixed-point solver only ever needs three queries of R:
 P(R >= rho), E[R * 1{R >= rho}], and E[(R - rho)+]. Tails are closed
 (use >=) so that atoms sitting exactly at a threshold trigger stopping.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class OnOffSe:
-    """Two-point rate law: R = r_bar w.p. p_avail**2, else 0."""
-
-    p_avail: float
-    r_bar: float
-
-    def __post_init__(self):
-        if not (0.0 < self.p_avail <= 1.0):
-            raise ValueError("p_avail must be in (0, 1]")
-        if self.r_bar <= 0:
-            raise ValueError("r_bar must be positive")
-
-    @property
-    def atom_prob(self) -> float:
-        return self.p_avail ** 2
-
-    @property
-    def support_max(self) -> float:
-        return self.r_bar
-
-    def tail_prob(self, rho: float) -> float:
-        if rho < 0:
-            raise ValueError("rho must be nonnegative")
-        if rho == 0.0:
-            return 1.0
-        return self.atom_prob if rho <= self.r_bar else 0.0
-
-    def mean_above(self, rho: float) -> float:
-        if rho < 0:
-            raise ValueError("rho must be nonnegative")
-        return self.atom_prob * self.r_bar if rho <= self.r_bar else 0.0
-
-    def expected_excess(self, rho: float) -> float:
-        return self.mean_above(rho) - rho * self.tail_prob(rho)
-
-    def mean(self) -> float:
-        return self.atom_prob * self.r_bar
-
-
 class EmpiricalSe:
-    """Empirical rate law backed by sorted samples with precomputed suffix
-    sums, so tail queries are O(log n)."""
+    """Rate law backed by sorted clear-link samples with precomputed suffix
+    sums, so tail queries are O(log n). Each relay is dual-clear with
+    probability p_avail**2; otherwise its rate is 0."""
 
-    def __init__(self, samples, r_bar: float | None = None):
+    def __init__(self, samples, r_bar: float | None = None, p_avail: float = 1.0):
+        if not (0.0 < p_avail <= 1.0):
+            raise ValueError("p_avail must be in (0, 1]")
         s = np.sort(np.asarray(samples, dtype=float))
         if s.size < 1:
             raise ValueError("need at least one sample")
@@ -68,46 +36,50 @@ class EmpiricalSe:
             raise ValueError("samples exceed r_bar")
         # suffix_sums[i] = sum of samples[i:]
         self._suffix = np.concatenate([np.cumsum(s[::-1])[::-1], [0.0]])
+        self._clear = float(p_avail) ** 2
 
     @property
     def support_max(self) -> float:
         return self.r_bar
 
     def _first_at_or_above(self, rho: float) -> int:
+        if rho < 0:
+            raise ValueError("rho must be nonnegative")
         return int(np.searchsorted(self.samples, rho, side="left"))
 
     def tail_prob(self, rho: float) -> float:
-        if rho < 0:
-            raise ValueError("rho must be nonnegative")
         i = self._first_at_or_above(rho)
-        return (self.samples.size - i) / self.samples.size
+        if rho == 0.0:
+            return 1.0
+        return self._clear * ((self.samples.size - i) / self.samples.size)
 
     def mean_above(self, rho: float) -> float:
-        if rho < 0:
-            raise ValueError("rho must be nonnegative")
         i = self._first_at_or_above(rho)
-        return self._suffix[i] / self.samples.size
+        return self._clear * (self._suffix[i] / self.samples.size)
 
     def expected_excess(self, rho: float) -> float:
-        i = self._first_at_or_above(rho)
-        n = self.samples.size
-        return self._suffix[i] / n - rho * ((n - i) / n)
+        return self.mean_above(rho) - rho * self.tail_prob(rho)
 
     def mean(self) -> float:
-        return self._suffix[0] / self.samples.size
-
-
-SeDistribution = OnOffSe | EmpiricalSe
+        return self.mean_above(0.0)
 
 
 def build_empirical(cfg, n_samples: int = 10 ** 6,
                     rng: np.random.Generator | None = None) -> EmpiricalSe:
-    """Monte Carlo realization of the two-hop rate law for a scenario."""
+    """The two-hop rate law of a scenario.
+
+    On/off links have the one clear rate se_cap, so their law is exact and
+    draws nothing. A geometric scenario's clear-link law is n_samples draws
+    at p_avail = 1, so every sample is clear and the law's accuracy does not
+    depend on p_avail.
+    """
     from . import channel
 
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    if cfg.channel_mode == "onoff":
+        return EmpiricalSe([cfg.se_cap], p_avail=cfg.p_avail)
     if rng is None:
         rng = np.random.default_rng()
-    _, _, se = channel.sample_two_hop_se_batch(rng, cfg, n_samples)
-    return EmpiricalSe(se, r_bar=cfg.se_cap)
+    _, _, se = channel.sample_two_hop_se_batch(rng, replace(cfg, p_avail=1.0), n_samples)
+    return EmpiricalSe(se, r_bar=cfg.se_cap, p_avail=cfg.p_avail)

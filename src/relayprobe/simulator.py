@@ -25,8 +25,8 @@ from . import solver as _solver
 from .channel import ScenarioConfig
 
 CHUNK_PERIODS = 4096
-# one substream id reserved for building the empirical rate law when an
-# OptimalThreshold policy must be resolved for a geometric-mode scenario
+# one substream id reserved for drawing the clear-link rate law that an
+# OptimalThreshold policy is resolved on
 _DIST_STREAM_ID = 2 ** 31
 
 
@@ -73,25 +73,23 @@ class FixedBeta:
 StoppingPolicy = OptimalThreshold | ExplicitThreshold | FixedBeta
 
 
+def optimal_solution(cfg: ScenarioConfig, seed: int = 0,
+                     n_samples: int = 10 ** 6) -> _solver.StoppingSolution:
+    """Solve the fixed point on the config's own rate law
+    (`sedist.build_empirical`, drawn deterministically from `seed`)."""
+    rng = np.random.default_rng([seed, _DIST_STREAM_ID])
+    dist = _sedist.build_empirical(cfg, n_samples, rng)
+    return _solver.solve_mu_star(dist, cfg.bandwidth_W, cfg.T_data,
+                                 cfg.tau, cfg.p_avail)
+
+
 def resolve_policy(policy: StoppingPolicy, cfg: ScenarioConfig,
                    seed: int = 0) -> StoppingPolicy:
-    """Replace OptimalThreshold with an explicit threshold for `cfg`.
-
-    On/off scenarios use the closed form; geometric scenarios build an
-    empirical rate law (deterministically from `seed`) and solve the fixed
-    point on it.
-    """
+    """Replace OptimalThreshold with the explicit threshold for `cfg`."""
     if not isinstance(policy, OptimalThreshold):
         return policy
-    if cfg.channel_mode == "onoff":
-        sol = _solver.closed_form_onoff(cfg.p_avail, cfg.se_cap,
-                                        cfg.bandwidth_W, cfg.T_data, cfg.tau)
-    else:
-        rng = np.random.default_rng([seed, _DIST_STREAM_ID])
-        dist = _sedist.build_empirical(cfg, policy.n_dist_samples, rng)
-        sol = _solver.solve_mu_star(dist, cfg.bandwidth_W, cfg.T_data,
-                                    cfg.tau, cfg.p_avail)
-    return ExplicitThreshold(sol.threshold_se)
+    return ExplicitThreshold(
+        optimal_solution(cfg, seed, policy.n_dist_samples).threshold_se)
 
 
 # -- single-period simulation ---------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .sedist import OnOffSe, SeDistribution
+from .sedist import EmpiricalSe
 
 
 class DegenerateDistributionError(ValueError):
@@ -74,7 +74,7 @@ class StoppingSolution:
             f.write("\n")
 
 
-def fixed_point_residual(dist: SeDistribution, mu: float, W: float, T: float,
+def fixed_point_residual(dist: EmpiricalSe, mu: float, W: float, T: float,
                          tau: float, p: float) -> float:
     """h(mu): positive below the root, negative above."""
     return W * T * dist.expected_excess(mu / W) - mu * tau * (1.0 + p)
@@ -85,7 +85,7 @@ def _newton_step(dist, mu, W, T, tau, p):
     return W * T * dist.mean_above(rho) / (T * dist.tail_prob(rho) + tau * (1.0 + p))
 
 
-def naive_fixed_point_trace(dist: SeDistribution, W: float, T: float, tau: float,
+def naive_fixed_point_trace(dist: EmpiricalSe, W: float, T: float, tau: float,
                             p: float, mu_init: float = 0.0, n_iter: int = 20) -> list[float]:
     """Literal fixed-point map, for demonstrating its oscillation only."""
     trace = []
@@ -109,7 +109,7 @@ def _bisect_mu(dist, W, T, tau, p, rel_tol, max_iter):
     return 0.5 * (lo + hi), it
 
 
-def solve_mu_star(dist: SeDistribution, W: float, T: float, tau: float, p: float,
+def solve_mu_star(dist: EmpiricalSe, W: float, T: float, tau: float, p: float,
                   settings: SolverSettings | None = None,
                   method: str = "newton_ratio") -> StoppingSolution:
     """Compute the maximum throughput and the matching stopping threshold.
@@ -152,7 +152,7 @@ def _bisection_solution(dist, W, T, tau, p, settings, newton_iterations):
                             fixed_point_residual(dist, mu, W, T, tau, p), "bisection")
 
 
-def solve_rho(dist: SeDistribution, mu: float, W: float, T: float, tau: float,
+def solve_rho(dist: EmpiricalSe, mu: float, W: float, T: float, tau: float,
               p: float) -> float:
     """Threshold rho solving E[(R - rho)+] = mu*tau*(1+p)/(W*T)."""
     if mu < 0:
@@ -160,8 +160,6 @@ def solve_rho(dist: SeDistribution, mu: float, W: float, T: float, tau: float,
     rhs = mu * tau * (1.0 + p) / (W * T)
     if rhs > dist.mean():
         raise InfeasibleError("probing cost exceeds E[R]: stopping never profitable")
-    if isinstance(dist, OnOffSe):
-        return dist.r_bar - rhs / dist.atom_prob
     lo, hi = 0.0, dist.support_max
     # piecewise-linear excess: plain bisection, driven well past 1e-9 relative
     for _ in range(100):
@@ -172,7 +170,7 @@ def solve_rho(dist: SeDistribution, mu: float, W: float, T: float, tau: float,
             hi = mid
         if (hi - lo) <= 1e-13 * max(1.0, hi):
             break
-    return 0.5 * (lo + hi)
+    return hi
 
 
 def closed_form_onoff(p: float, r_bar: float, W: float, T: float,
@@ -181,7 +179,7 @@ def closed_form_onoff(p: float, r_bar: float, W: float, T: float,
     if not (0.0 < p <= 1.0):
         raise ValueError("p must be in (0, 1]")
     mu = W * T * p * p * r_bar / ((1.0 + p) * tau + p * p * T)
-    dist = OnOffSe(p, r_bar)
+    dist = EmpiricalSe([r_bar], p_avail=p)
     res = fixed_point_residual(dist, mu, W, T, tau, p)
     return StoppingSolution(mu, mu / W, 0, res, "closed_form")
 
@@ -193,7 +191,7 @@ def genie_ratio_onoff(p: float, tau: float, T: float) -> float:
     return 1.0 / (1.0 + (1.0 + p) / (p * p) * (tau / T))
 
 
-def ordinary_value(dist: SeDistribution, mu: float, W: float, T: float,
+def ordinary_value(dist: EmpiricalSe, mu: float, W: float, T: float,
                    tau: float, p: float) -> float:
     """V(mu) = E[U_N - mu*T_N] under the optimal threshold rule for this mu.
 

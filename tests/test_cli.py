@@ -1,5 +1,8 @@
 import csv
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -8,7 +11,9 @@ import relayprobe as rp
 from relayprobe.cli import (SWEEP_COLUMNS, SweepSpec, main, parse_strategy,
                             run_sweep)
 from relayprobe.simulator import (MYOPIC, ExplicitThreshold, FixedBeta,
-                                  OptimalThreshold)
+                                  OptimalThreshold, resolve_policy)
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -22,6 +27,13 @@ def onoff_cfg_path(tmp_path):
                               se_cap=2.0, channel_mode="onoff")
     path = tmp_path / "cfg.json"
     cfg.to_json(path)
+    return str(path)
+
+
+@pytest.fixture
+def geo_cfg_path(tmp_path):
+    path = tmp_path / "geo.json"
+    rp.default_scenario(p_avail=0.5, tau=0.01).to_json(path)
     return str(path)
 
 
@@ -64,6 +76,7 @@ class TestSweepSpec:
         {"grid": [0.6, 0.3]},
         {"strategies": []},
         {"n_periods": 10},
+        {"seed": -1},
     ])
     def test_validation(self, patch):
         base = dict(variable="p_avail", grid=(0.3, 0.6), strategies=("myopic",),
@@ -80,6 +93,7 @@ class TestSolveCommand:
         assert res.exit_code == 0, res.output
         sol = json.loads(out.read_text())
         assert sol["mu_star_bps"] == pytest.approx(0.5 / 0.265, rel=1e-9)
+        assert res.output.splitlines()[0] == "rate law: onoff"
         assert "genie_ratio" in res.output
 
     def test_zero_overhead_unsupported_config(self, runner, tmp_path):
@@ -101,16 +115,29 @@ class TestSolveCommand:
         assert res.exit_code == 0
         assert json.loads(out.read_text())["mu_star_bps"] == pytest.approx(2.0, rel=1e-9)
 
-    def test_empirical_mode_is_deterministic(self, runner, onoff_cfg_path, tmp_path):
+    def test_empirical_mode_is_deterministic(self, runner, geo_cfg_path, tmp_path):
         outs = []
         for name in ("a.json", "b.json"):
             out = tmp_path / name
             res = runner.invoke(main, [
-                "solve", onoff_cfg_path, "--dist-mode", "empirical",
+                "solve", geo_cfg_path,
                 "--samples", "20000", "--seed", "3", "--out", str(out)])
             assert res.exit_code == 0, res.output
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_geometric_solve_equals_resolve(self, runner, geo_cfg_path, tmp_path):
+        # `solve` and the simulator's optimal threshold solve the same law
+        out = tmp_path / "sol.json"
+        res = runner.invoke(main, ["solve", geo_cfg_path, "--samples", "20000",
+                                   "--seed", "3", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert res.output.splitlines()[0] == \
+            "rate law: geometric, 20000 clear-link draws, seed 3"
+        assert "genie_ratio" not in res.output
+        cfg = rp.ScenarioConfig.from_json(geo_cfg_path)
+        rho = resolve_policy(OptimalThreshold(20000), cfg, 3).rho
+        assert json.loads(out.read_text())["threshold_se"] == rho
 
     def test_malformed_config(self, runner, tmp_path):
         path = tmp_path / "bad.json"
@@ -266,6 +293,37 @@ class TestFigureCommand:
                                    "--figure-id", "nope",
                                    "--out", str(tmp_path / "x.csv")])
         assert res.exit_code != 0
+
+
+@pytest.mark.parametrize("args, option", [
+    (["figure", "{cfg}", "--figure-id", "strategy_vs_p", "--out", "{out}",
+      "--periods", "10"], "--periods"),
+    (["figure", "{cfg}", "--figure-id", "strategy_vs_p", "--out", "{out}",
+      "--seed", "-1"], "--seed"),
+    (["solve", "{cfg}", "--samples", "0"], "--samples"),
+    (["solve", "{cfg}", "--seed", "-1"], "--seed"),
+    (["sweep", "{cfg}", "{cfg}", "--out", "{out}", "--seed", "-1"], "--seed"),
+], ids=["figure-periods", "figure-seed", "solve-samples", "solve-seed", "sweep-seed"])
+def test_integer_options_range_checked(runner, geo_cfg_path, tmp_path, args, option):
+    out = str(tmp_path / "o.csv")
+    res = runner.invoke(main, [a.format(cfg=geo_cfg_path, out=out) for a in args])
+    assert res.exit_code != 0
+    assert option in res.output
+    assert res.exc_info[0] is SystemExit and "Traceback" not in res.output
+
+
+def readme_cli_lines():
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    return [line.strip() for block in blocks for line in block.splitlines()
+            if line.strip().startswith("relayprobe ")]
+
+
+@pytest.mark.parametrize("line", readme_cli_lines())
+def test_readme_cli_examples_parse(runner, line):
+    # --help is eager, so this checks every option name in the README's
+    # examples without running them
+    res = runner.invoke(main, shlex.split(line)[1:] + ["--help"])
+    assert res.exit_code == 0, res.output
 
 
 class TestRunSweepDeterminism:

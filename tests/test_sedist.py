@@ -1,15 +1,13 @@
-import math
-
 import numpy as np
 import pytest
 
 import relayprobe as rp
-from relayprobe.sedist import EmpiricalSe, OnOffSe, build_empirical
+from relayprobe.sedist import EmpiricalSe, build_empirical
 
 
 @pytest.fixture
 def onoff():
-    return OnOffSe(0.5, 2.0)
+    return EmpiricalSe([2.0], p_avail=0.5)
 
 
 @pytest.fixture
@@ -101,9 +99,9 @@ class TestConstruction:
 
     def test_onoff_validation(self):
         with pytest.raises(ValueError):
-            OnOffSe(0.0, 2.0)
+            EmpiricalSe([2.0], p_avail=0.0)
         with pytest.raises(ValueError):
-            OnOffSe(0.5, 0.0)
+            EmpiricalSe([2.0], p_avail=1.5)
 
 
 class TestBuildEmpirical:
@@ -117,19 +115,28 @@ class TestBuildEmpirical:
 
     def test_onoff_mode_tail_is_binomial(self):
         cfg = rp.default_scenario(p_avail=0.3, channel_mode="onoff", se_cap=2.0)
-        n = 10 ** 5
-        d = build_empirical(cfg, n, np.random.default_rng(1))
-        q = 0.09
-        assert abs(d.tail_prob(1.0) - q) < 3 * math.sqrt(q * (1 - q) / n)
+        d = build_empirical(cfg, 10 ** 5, np.random.default_rng(1))
+        assert d.tail_prob(1.0) == 0.09
 
     def test_onoff_mode_mean_matches_closed_form(self):
+        # E[R] = p^2 * r_bar
         cfg = rp.default_scenario(p_avail=0.3, channel_mode="onoff", se_cap=2.0)
-        n = 10 ** 6
-        d = build_empirical(cfg, n, np.random.default_rng(2))
-        # E[R] = p^2 * r_bar; sample mean stderr from bernoulli atom
-        q = 0.09
-        stderr = 2.0 * math.sqrt(q * (1 - q) / n)
-        assert abs(d.expected_excess(0.0) - q * 2.0) < 3 * stderr
+        d = build_empirical(cfg, 10 ** 6, np.random.default_rng(2))
+        assert d.expected_excess(0.0) == 0.18
+
+    def test_clear_law_does_not_depend_on_p(self):
+        # the blockage atom is composed exactly onto one clear-link draw
+        laws = {p: build_empirical(rp.default_scenario(p_avail=p), 2000,
+                                   np.random.default_rng(4))
+                for p in (0.1, 0.9, 1.0)}
+        assert np.array_equal(laws[0.1].samples, laws[0.9].samples)
+        assert np.array_equal(laws[0.1].samples, laws[1.0].samples)
+        for p in (0.1, 0.9):
+            for rho in np.linspace(0.05, 5.0, 40):
+                rho = float(rho)
+                assert laws[p].tail_prob(rho) == p ** 2 * laws[1.0].tail_prob(rho)
+                assert laws[p].mean_above(rho) == p ** 2 * laws[1.0].mean_above(rho)
+            assert laws[p].tail_prob(0.0) == 1.0
 
     def test_invalid_sample_count(self):
         cfg = rp.default_scenario()

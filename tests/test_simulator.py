@@ -10,8 +10,8 @@ from relayprobe.channel import (RelayRegion, ScenarioConfig,
 from relayprobe.simulator import (CHUNK_PERIODS, MYOPIC, ExplicitThreshold,
                                   FixedBeta, OptimalThreshold, PeriodRecord,
                                   Probe, RunawayPeriodError, batch_means_stderr,
-                                  estimate_throughput, resolve_policy,
-                                  run_period, run_period_from_probes,
+                                  estimate_throughput, optimal_solution,
+                                  resolve_policy, run_period, run_period_from_probes,
                                   simulate_periods)
 
 
@@ -127,6 +127,13 @@ class TestResolvePolicy:
         a = resolve_policy(OptimalThreshold(n_dist_samples=10 ** 4), cfg, seed=5)
         b = resolve_policy(OptimalThreshold(n_dist_samples=10 ** 4), cfg, seed=5)
         assert a.rho == b.rho
+
+    def test_small_p_resolve_is_accurate(self):
+        # the law is drawn clear-link only, so at p = 0.1 (about 1% of
+        # unconditional probes dual-clear) 10**6 draws still put mu* within
+        # 0.5% of the renewal-reward optimum of criterion 5, 122.7 Mbit/s
+        sol = optimal_solution(rp.default_scenario(p_avail=0.1, tau=0.01), 13)
+        assert sol.mu_star == pytest.approx(122.7e6, rel=5e-3)
 
 
 class TestEstimateThroughput:

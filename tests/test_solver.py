@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 import relayprobe as rp
-from relayprobe.sedist import EmpiricalSe, OnOffSe, build_empirical
+from relayprobe.sedist import EmpiricalSe
 from relayprobe.solver import (ConvergenceError, DegenerateDistributionError,
                                InfeasibleError, SolverSettings,
                                StoppingSolution, closed_form_onoff,
                                fixed_point_residual, genie_ratio_onoff,
                                naive_fixed_point_trace, ordinary_value, solve_mu_star, solve_rho)
 
-ONOFF = OnOffSe(0.5, 2.0)
+ONOFF = EmpiricalSe([2.0], p_avail=0.5)
 
 
 class TestClosedForm:
@@ -88,7 +88,7 @@ class TestSolveMuStar:
 
     def test_residual_is_small(self):
         for p in (0.1, 0.5, 0.9):
-            sol = solve_mu_star(OnOffSe(p, 4.0), 1.0, 1.0, 0.05, p)
+            sol = solve_mu_star(EmpiricalSe([4.0], p_avail=p), 1.0, 1.0, 0.05, p)
             assert abs(sol.residual) <= 1e-8 * 4.0
 
     def test_bisection_agrees(self):
