@@ -26,6 +26,10 @@ class RelayRegion:
     center: tuple[float, float]
     radius: float
 
+    def __post_init__(self):
+        # configs stay hashable, so the simulator can key a memo on them
+        object.__setattr__(self, "center", tuple(self.center))
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -59,6 +63,8 @@ class ScenarioConfig:
     channel_mode: str = "geometric"
 
     def __post_init__(self):
+        for name in ("source_pos", "dest_pos"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if not (0.0 < self.p_avail <= 1.0):
             raise ConfigError(f"p_avail must be in (0, 1], got {self.p_avail}")
         if self.tau <= 0 or self.T_data <= 0:
@@ -69,7 +75,7 @@ class ScenarioConfig:
             raise ConfigError("se_cap must be positive")
         if self.shadow_sigma < 0:
             raise ConfigError("shadow_sigma must be nonnegative")
-        if tuple(self.source_pos) == tuple(self.dest_pos):
+        if self.source_pos == self.dest_pos:
             raise ConfigError("source_pos and dest_pos must differ")
         if self.relay_region.radius <= 0:
             raise ConfigError("relay_region radius must be positive")
@@ -196,10 +202,15 @@ def snr_linear(tx_dbm, g_tx, g_rx, distance, shadow_db, blocked, cfg: ScenarioCo
     blockage indicator multiplies the received power, so a blocked hop has
     zero SNR regardless of geometry.
     """
-    pl = pathloss_db(distance, cfg)
-    rx_dbm = np.asarray(tx_dbm, dtype=float) + g_tx + g_rx - pl + np.asarray(shadow_db, dtype=float)
-    snr = db_to_linear(rx_dbm - noise_power_dbm(cfg)) * np.asarray(blocked, dtype=float)
-    return float(snr) if np.ndim(snr) == 0 else snr
+    # computed in place in the fresh pathloss array, one full-size buffer
+    snr = np.asarray(pathloss_db(distance, cfg))
+    np.subtract(np.asarray(tx_dbm, dtype=float) + g_tx + g_rx, snr, out=snr)
+    snr += shadow_db
+    snr -= noise_power_dbm(cfg)
+    snr /= 10.0
+    np.power(10.0, snr, out=snr)
+    snr *= blocked
+    return float(snr) if snr.ndim == 0 else snr
 
 
 def two_hop_se(snr1, snr2, cfg: ScenarioConfig):
@@ -217,15 +228,24 @@ def two_hop_se(snr1, snr2, cfg: ScenarioConfig):
     return float(se) if np.ndim(se) == 0 else se
 
 
+def _disk_points(u_radius, u_angle, region: RelayRegion):
+    """Map two uniforms per relay to a uniform point on the relay disk by
+    inverse-CDF radius sampling. Overwrites both inputs; returns (x, y)."""
+    r = np.sqrt(u_radius, out=u_radius)
+    r *= region.radius
+    u_angle *= 2.0 * np.pi
+    x = np.cos(u_angle)
+    x *= r
+    x += region.center[0]
+    y = np.sin(u_angle, out=u_angle)
+    y *= r
+    y += region.center[1]
+    return x, y
+
+
 def sample_relay_positions(rng: np.random.Generator, cfg: ScenarioConfig, n: int) -> np.ndarray:
     """Uniform positions on the relay disk via inverse-CDF radius sampling."""
-    region = cfg.relay_region
-    r = region.radius * np.sqrt(rng.random(n))
-    theta = rng.random(n) * (2.0 * np.pi)
-    return np.column_stack([
-        region.center[0] + r * np.cos(theta),
-        region.center[1] + r * np.sin(theta),
-    ])
+    return np.column_stack(_disk_points(rng.random(n), rng.random(n), cfg.relay_region))
 
 
 def sample_two_hop_se_batch(rng: np.random.Generator, cfg: ScenarioConfig, n: int):
@@ -234,7 +254,9 @@ def sample_two_hop_se_batch(rng: np.random.Generator, cfg: ScenarioConfig, n: in
     Returns (chi1, chi2, se) where chi1/chi2 are 0/1 availability indicators
     for the two hops and se is the two-hop spectral efficiency (0 whenever
     either hop is blocked). The draw order is fixed so that a given generator
-    state always yields the same probes.
+    state always yields the same probes: the two position uniforms, chi1,
+    shadow1, chi2, shadow2. Every variate is drawn, but the link budget runs
+    only on the dual-clear relays, a share p_avail**2 of them.
     """
     if cfg.channel_mode == "onoff":
         chi1 = (rng.random(n) < cfg.p_avail).astype(np.int8)
@@ -242,17 +264,31 @@ def sample_two_hop_se_batch(rng: np.random.Generator, cfg: ScenarioConfig, n: in
         se = np.where((chi1 & chi2).astype(bool), cfg.se_cap, 0.0)
         return chi1, chi2, se
 
-    pos = sample_relay_positions(rng, cfg, n)
+    u_radius, u_angle = rng.random(n), rng.random(n)
     chi1 = (rng.random(n) < cfg.p_avail).astype(np.int8)
     shadow1 = rng.normal(0.0, cfg.shadow_sigma, n)
     chi2 = (rng.random(n) < cfg.p_avail).astype(np.int8)
-    shadow2 = rng.normal(0.0, cfg.shadow_sigma, n)
+    # the link budget runs on the dual-clear subset only, and each full-size
+    # draw is dropped once its subset is taken; when every relay is clear the
+    # subset is a view of the draw, not a copy
+    both = chi1 & chi2
+    clear = slice(None) if both.all() else np.flatnonzero(both)
+    shadow1 = shadow1[clear]
+    shadow2 = rng.normal(0.0, cfg.shadow_sigma, n)[clear]
+    x, y = _disk_points(u_radius[clear], u_angle[clear], cfg.relay_region)
+    del u_radius, u_angle
 
-    d1 = np.hypot(pos[:, 0] - cfg.source_pos[0], pos[:, 1] - cfg.source_pos[1])
-    d2 = np.hypot(cfg.dest_pos[0] - pos[:, 0], cfg.dest_pos[1] - pos[:, 1])
+    d = np.hypot(x - cfg.source_pos[0], y - cfg.source_pos[1])
     s1 = snr_linear(cfg.tx_power_bs, cfg.bf_gain_bs, cfg.bf_gain_dev,
-                    d1, shadow1, chi1, cfg)
+                    d, shadow1, 1, cfg)
+    del shadow1
+    np.subtract(cfg.dest_pos[0], x, out=x)
+    np.subtract(cfg.dest_pos[1], y, out=y)
+    np.hypot(x, y, out=d)
+    del x, y
     s2 = snr_linear(cfg.tx_power_dev, cfg.bf_gain_dev, cfg.bf_gain_dev,
-                    d2, shadow2, chi2, cfg)
-    se = two_hop_se(s1, s2, cfg)
+                    d, shadow2, 1, cfg)
+    del d, shadow2
+    se = np.zeros(n)
+    se[clear] = two_hop_se(s1, s2, cfg)
     return chi1, chi2, se

@@ -192,7 +192,7 @@ def solve(config_path, samples, seed, out_path):
 @click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
 @click.argument("sweep_spec_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", "out_csv", type=click.Path(dir_okay=False), required=True)
-@click.option("--workers", default=1, show_default=True)
+@click.option("--workers", default=1, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", default=None, type=click.IntRange(min=0),
               help="Override the spec's seed.")
 @click.option("--periods", default=None, type=int, help="Override the spec's n_periods.")
@@ -218,7 +218,7 @@ def sweep(config_path, sweep_spec_path, out_csv, workers, seed, periods):
 @click.option("--out", "out_csv", type=click.Path(dir_okay=False), required=True)
 @click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--periods", default=10 ** 5, show_default=True, type=click.IntRange(min=30))
-@click.option("--workers", default=1, show_default=True)
+@click.option("--workers", default=1, show_default=True, type=click.IntRange(min=1))
 def figure(config_path, figure_id, out_csv, seed, periods, workers):
     """Run a canonical figure sweep and emit plot-ready CSV.
 

@@ -12,9 +12,17 @@ P(R >= rho), E[R * 1{R >= rho}], and E[(R - rho)+]. Tails are closed
 
 from __future__ import annotations
 
+import copy
 from dataclasses import replace
 
 import numpy as np
+
+
+def _clear_prob(p_avail: float) -> float:
+    """P(both hops clear)."""
+    if not (0.0 < p_avail <= 1.0):
+        raise ValueError("p_avail must be in (0, 1]")
+    return float(p_avail) ** 2
 
 
 class EmpiricalSe:
@@ -23,8 +31,7 @@ class EmpiricalSe:
     probability p_avail**2; otherwise its rate is 0."""
 
     def __init__(self, samples, r_bar: float | None = None, p_avail: float = 1.0):
-        if not (0.0 < p_avail <= 1.0):
-            raise ValueError("p_avail must be in (0, 1]")
+        self._clear = _clear_prob(p_avail)
         s = np.sort(np.asarray(samples, dtype=float))
         if s.size < 1:
             raise ValueError("need at least one sample")
@@ -36,7 +43,15 @@ class EmpiricalSe:
             raise ValueError("samples exceed r_bar")
         # suffix_sums[i] = sum of samples[i:]
         self._suffix = np.concatenate([np.cumsum(s[::-1])[::-1], [0.0]])
-        self._clear = float(p_avail) ** 2
+        # laws composed by `at` share both arrays
+        s.flags.writeable = self._suffix.flags.writeable = False
+
+    def at(self, p_avail: float) -> "EmpiricalSe":
+        """The same clear-link law composed with blockage at p_avail. Shares
+        the sorted samples and suffix sums instead of sorting again."""
+        law = copy.copy(self)
+        law._clear = _clear_prob(p_avail)
+        return law
 
     @property
     def support_max(self) -> float:

@@ -13,9 +13,10 @@ fixed-size chunks, each chunk drawing from its own substream seeded by
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -73,12 +74,22 @@ class FixedBeta:
 StoppingPolicy = OptimalThreshold | ExplicitThreshold | FixedBeta
 
 
+@functools.lru_cache(maxsize=1)
+def _clear_law(clear_cfg: ScenarioConfig, seed: int,
+               n_samples: int) -> _sedist.EmpiricalSe:
+    """The clear-link rate law of `clear_cfg` (p_avail = 1), drawn on stream
+    [seed, 2**31]. It does not depend on p_avail, so one build serves every
+    point of a p_avail sweep; the law's arrays are read-only."""
+    rng = np.random.default_rng([seed, _DIST_STREAM_ID])
+    return _sedist.build_empirical(clear_cfg, n_samples, rng)
+
+
 def optimal_solution(cfg: ScenarioConfig, seed: int = 0,
                      n_samples: int = 10 ** 6) -> _solver.StoppingSolution:
     """Solve the fixed point on the config's own rate law
-    (`sedist.build_empirical`, drawn deterministically from `seed`)."""
-    rng = np.random.default_rng([seed, _DIST_STREAM_ID])
-    dist = _sedist.build_empirical(cfg, n_samples, rng)
+    (`sedist.build_empirical`, drawn deterministically from `seed`). The last
+    clear-link law built is reused, so a p_avail sweep draws it once."""
+    dist = _clear_law(replace(cfg, p_avail=1.0), seed, n_samples).at(cfg.p_avail)
     return _solver.solve_mu_star(dist, cfg.bandwidth_W, cfg.T_data,
                                  cfg.tau, cfg.p_avail)
 
@@ -224,7 +235,11 @@ def simulate_periods(policy: StoppingPolicy, cfg: ScenarioConfig, n_periods: int
     sizes = [min(CHUNK_PERIODS, n_periods - i * CHUNK_PERIODS) for i in range(n_chunks)]
     args = [(policy, cfg, seed, i, sizes[i], max_probes) for i in range(n_chunks)]
     if workers > 1 and n_chunks > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a forked worker would otherwise pay numpy's first-Generator setup
+        np.random.default_rng(0)
+        # fork starts every worker at the first submit, so never more than
+        # there are chunks
+        with ProcessPoolExecutor(max_workers=min(workers, n_chunks)) as pool:
             chunks = list(pool.map(_simulate_chunk_star, args))
     else:
         chunks = [_simulate_chunk(*a) for a in args]

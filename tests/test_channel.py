@@ -109,6 +109,39 @@ class TestRelaySampling:
         assert np.all(se > 0)
         assert np.array_equal(se, two_hop_se(s1, s2, cfg))
 
+    @pytest.mark.parametrize("n", [0, 1, 7, 16385])
+    @pytest.mark.parametrize("cfg", [
+        rp.default_scenario(p_avail=0.1),
+        rp.default_scenario(p_avail=0.5),
+        rp.default_scenario(p_avail=1.0),
+        rp.default_scenario(p_avail=0.5, channel_mode="onoff"),
+    ], ids=["p0.1", "p0.5", "p1", "onoff"])
+    def test_kernel_equals_full_array_link_budget(self, cfg, n):
+        # the kernel runs the link budget on dual-clear relays only; a twin
+        # generator redraws the same variates, in the same order, and runs
+        # it on every relay, blocked or not
+        got = sample_two_hop_se_batch(np.random.default_rng([n, 5]), cfg, n)
+        rng = np.random.default_rng([n, 5])
+        if cfg.channel_mode == "onoff":
+            chi1 = (rng.random(n) < cfg.p_avail).astype(np.int8)
+            chi2 = (rng.random(n) < cfg.p_avail).astype(np.int8)
+            se = np.where((chi1 & chi2) == 1, cfg.se_cap, 0.0)
+        else:
+            pos = sample_relay_positions(rng, cfg, n)
+            chi1 = (rng.random(n) < cfg.p_avail).astype(np.int8)
+            shadow1 = rng.normal(0.0, cfg.shadow_sigma, n)
+            chi2 = (rng.random(n) < cfg.p_avail).astype(np.int8)
+            shadow2 = rng.normal(0.0, cfg.shadow_sigma, n)
+            d1 = np.hypot(*(pos - cfg.source_pos).T)
+            d2 = np.hypot(*(np.asarray(cfg.dest_pos) - pos).T)
+            s1 = snr_linear(cfg.tx_power_bs, cfg.bf_gain_bs, cfg.bf_gain_dev,
+                            d1, shadow1, chi1, cfg)
+            s2 = snr_linear(cfg.tx_power_dev, cfg.bf_gain_dev, cfg.bf_gain_dev,
+                            d2, shadow2, chi2, cfg)
+            se = two_hop_se(s1, s2, cfg)
+        for a, b in zip(got, (chi1, chi2, se)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
     def test_first_hop_blockage_fraction(self):
         cfg = rp.default_scenario(p_avail=0.5)
         rng = np.random.default_rng(1)

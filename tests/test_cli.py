@@ -303,7 +303,11 @@ class TestFigureCommand:
     (["solve", "{cfg}", "--samples", "0"], "--samples"),
     (["solve", "{cfg}", "--seed", "-1"], "--seed"),
     (["sweep", "{cfg}", "{cfg}", "--out", "{out}", "--seed", "-1"], "--seed"),
-], ids=["figure-periods", "figure-seed", "solve-samples", "solve-seed", "sweep-seed"])
+    (["figure", "{cfg}", "--figure-id", "strategy_vs_p", "--out", "{out}",
+      "--workers", "0"], "--workers"),
+    (["sweep", "{cfg}", "{cfg}", "--out", "{out}", "--workers", "-2"], "--workers"),
+], ids=["figure-periods", "figure-seed", "solve-samples", "solve-seed", "sweep-seed",
+        "figure-workers", "sweep-workers"])
 def test_integer_options_range_checked(runner, geo_cfg_path, tmp_path, args, option):
     out = str(tmp_path / "o.csv")
     res = runner.invoke(main, [a.format(cfg=geo_cfg_path, out=out) for a in args])

@@ -132,11 +132,20 @@ class TestBuildEmpirical:
         assert np.array_equal(laws[0.1].samples, laws[0.9].samples)
         assert np.array_equal(laws[0.1].samples, laws[1.0].samples)
         for p in (0.1, 0.9):
+            # `at` composes the same law from the p = 1 build without sorting
+            # again, sharing its read-only arrays
+            composed = laws[1.0].at(p)
+            assert composed.samples is laws[1.0].samples
             for rho in np.linspace(0.05, 5.0, 40):
                 rho = float(rho)
                 assert laws[p].tail_prob(rho) == p ** 2 * laws[1.0].tail_prob(rho)
                 assert laws[p].mean_above(rho) == p ** 2 * laws[1.0].mean_above(rho)
-            assert laws[p].tail_prob(0.0) == 1.0
+                for query in ("tail_prob", "mean_above", "expected_excess"):
+                    assert getattr(composed, query)(rho) == getattr(laws[p], query)(rho)
+            assert laws[p].tail_prob(0.0) == composed.tail_prob(0.0) == 1.0
+        assert not laws[1.0].samples.flags.writeable
+        with pytest.raises(ValueError):
+            laws[1.0].at(0.0)
 
     def test_invalid_sample_count(self):
         cfg = rp.default_scenario()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import relayprobe as rp
+from relayprobe import cli, sedist, simulator, solver
 from relayprobe.channel import (RelayRegion, ScenarioConfig,
                                 sample_two_hop_se_batch)
 from relayprobe.simulator import (CHUNK_PERIODS, MYOPIC, ExplicitThreshold,
@@ -125,6 +126,7 @@ class TestResolvePolicy:
     def test_geometric_resolution_is_deterministic(self):
         cfg = rp.default_scenario(p_avail=0.5)
         a = resolve_policy(OptimalThreshold(n_dist_samples=10 ** 4), cfg, seed=5)
+        simulator._clear_law.cache_clear()
         b = resolve_policy(OptimalThreshold(n_dist_samples=10 ** 4), cfg, seed=5)
         assert a.rho == b.rho
 
@@ -134,6 +136,69 @@ class TestResolvePolicy:
         # 0.5% of the renewal-reward optimum of criterion 5, 122.7 Mbit/s
         sol = optimal_solution(rp.default_scenario(p_avail=0.1, tau=0.01), 13)
         assert sol.mu_star == pytest.approx(122.7e6, rel=5e-3)
+
+
+class TestClearLawMemo:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The configs `sedist.build_empirical` is called with, from an empty
+        memo."""
+        simulator._clear_law.cache_clear()
+        calls = []
+        build = sedist.build_empirical
+
+        def counted(cfg, *args):
+            calls.append(cfg)
+            return build(cfg, *args)
+
+        monkeypatch.setattr(sedist, "build_empirical", counted)
+        yield calls
+        simulator._clear_law.cache_clear()
+
+    def test_one_build_per_p_sweep(self, builds, monkeypatch):
+        cfg = rp.default_scenario(tau=0.01)
+        spec = cli.SweepSpec("p_avail", (0.2, 0.5, 0.8), ("optimal",), 60, 4)
+        rhos = []
+        resolve = simulator.resolve_policy
+
+        def recording(policy, cfg_pt, seed=0):
+            rhos.append(resolve(policy, cfg_pt, seed).rho)
+            return ExplicitThreshold(rhos[-1])
+
+        monkeypatch.setattr(simulator, "resolve_policy", recording)
+        rows = cli.sweep_rows(cfg, spec)
+        assert [r[-1] for r in rows] == ["", "", ""]
+        assert len(builds) == 1
+        # each row solves exactly the law a fresh build at its p gives
+        for p, rho in zip(spec.grid, rhos):
+            cfg_p = dataclasses.replace(cfg, p_avail=p)
+            law = sedist.build_empirical(cfg_p, 10 ** 6, np.random.default_rng([4, 2 ** 31]))
+            fresh = solver.solve_mu_star(law, cfg.bandwidth_W, cfg.T_data, cfg.tau, p)
+            assert rho == fresh.threshold_se
+
+    def test_clear_law_change_rebuilds(self, builds):
+        cfg = rp.default_scenario(p_avail=0.3)
+        optimal_solution(cfg, 1, 1000)
+        optimal_solution(dataclasses.replace(cfg, p_avail=0.7), 1, 1000)
+        # list-valued positions give the same, hashable config
+        region = cfg.relay_region
+        optimal_solution(dataclasses.replace(
+            cfg, source_pos=list(cfg.source_pos), dest_pos=list(cfg.dest_pos),
+            relay_region=RelayRegion(list(region.center), region.radius)), 1, 1000)
+        assert len(builds) == 1
+        optimal_solution(dataclasses.replace(cfg, shadow_sigma=3.0), 1, 1000)
+        optimal_solution(cfg, 2, 1000)
+        optimal_solution(cfg, 2, 2000)
+        assert len(builds) == 4
+        assert builds[1].shadow_sigma == 3.0
+        assert all(c.p_avail == 1.0 for c in builds)
+
+    def test_cached_law_is_read_only(self, builds):
+        law = simulator._clear_law(rp.default_scenario(p_avail=1.0), 0, 1000)
+        assert law.at(0.4).samples is law.samples
+        for arr in (law.samples, law._suffix):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
 
 
 class TestEstimateThroughput:
@@ -187,6 +252,37 @@ class TestDeterminism:
         assert np.array_equal(serial.bits, parallel.bits)
         assert np.array_equal(serial.period_time, parallel.period_time)
         assert np.array_equal(serial.n_probed, parallel.n_probed)
+
+    def test_pool_start(self, monkeypatch):
+        # fork starts all max_workers processes at the first submit, so the
+        # pool is never larger than the chunk count; numpy's random module is
+        # set up before the fork so no worker pays for it
+        events = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                events.append(("pool", max_workers))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args):
+                return map(fn, args)
+
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(simulator, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda *a: events.append("rng") or default_rng(*a))
+        cfg = onoff_cfg()
+        n = 2 * CHUNK_PERIODS + 1
+        pooled = simulate_periods(MYOPIC, cfg, n, seed=8, workers=500)
+        assert events[:2] == ["rng", ("pool", 3)]
+        serial = simulate_periods(MYOPIC, cfg, n, seed=8, workers=1)
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(dataclasses.astuple(pooled), dataclasses.astuple(serial)))
 
     def test_different_seeds_differ(self):
         cfg = onoff_cfg()
