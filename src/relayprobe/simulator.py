@@ -12,7 +12,6 @@ fixed-size chunks, each chunk drawing from its own substream seeded by
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -26,6 +25,8 @@ from . import solver as _solver
 from .channel import ScenarioConfig
 
 CHUNK_PERIODS = 4096
+# a threshold chunk draws its probe stream in blocks of this many relays
+BLOCK_PROBES = 1 << 14
 # one substream id reserved for drawing the clear-link rate law that an
 # OptimalThreshold policy is resolved on
 _DIST_STREAM_ID = 2 ** 31
@@ -77,9 +78,10 @@ StoppingPolicy = OptimalThreshold | ExplicitThreshold | FixedBeta
 @functools.lru_cache(maxsize=1)
 def _clear_law(clear_cfg: ScenarioConfig, seed: int,
                n_samples: int) -> _sedist.EmpiricalSe:
-    """The clear-link rate law of `clear_cfg` (p_avail = 1), drawn on stream
-    [seed, 2**31]. It does not depend on p_avail, so one build serves every
-    point of a p_avail sweep; the law's arrays are read-only."""
+    """The clear-link rate law of `clear_cfg` (p_avail = 1, tau = T_data = 1),
+    drawn on stream [seed, 2**31]. It does not depend on p_avail or the
+    timing, so one build serves every point of a p_avail or tau sweep; the
+    law's arrays are read-only."""
     rng = np.random.default_rng([seed, _DIST_STREAM_ID])
     return _sedist.build_empirical(clear_cfg, n_samples, rng)
 
@@ -88,8 +90,9 @@ def optimal_solution(cfg: ScenarioConfig, seed: int = 0,
                      n_samples: int = 10 ** 6) -> _solver.StoppingSolution:
     """Solve the fixed point on the config's own rate law
     (`sedist.build_empirical`, drawn deterministically from `seed`). The last
-    clear-link law built is reused, so a p_avail sweep draws it once."""
-    dist = _clear_law(replace(cfg, p_avail=1.0), seed, n_samples).at(cfg.p_avail)
+    clear-link law built is reused, so a p_avail or tau sweep draws it once."""
+    clear_cfg = replace(cfg, p_avail=1.0, tau=1.0, T_data=1.0)
+    dist = _clear_law(clear_cfg, seed, n_samples).at(cfg.p_avail)
     return _solver.solve_mu_star(dist, cfg.bandwidth_W, cfg.T_data,
                                  cfg.tau, cfg.p_avail)
 
@@ -191,36 +194,44 @@ def _simulate_chunk(policy, cfg, seed, chunk_index, n_periods, max_probes):
 
     # Probes are i.i.d. and the threshold test is per-probe, so a flat probe
     # stream serves all periods back to back: period i ends at the i-th
-    # accepted probe. Draw blocks until n_periods probes have been accepted.
-    time_parts, rate_parts, accept_parts = [], [], []
+    # accepted probe. Each block is reduced as it is drawn, so memory is
+    # O(block + n_periods) however many probes a period takes. The running
+    # probe time is carried into the block's first element before its cumsum,
+    # so every stop time is the sum one cumsum over the whole stream gives.
+    stop_idx = np.empty(n_periods, dtype=np.int64)
+    cum_at_stop = np.empty(n_periods)
+    rate = np.empty(n_periods)
     n_accepted = 0
+    n_drawn = 0
+    carry = 0.0
     drawn_since_accept = 0
-    block = 1 << 14
     while n_accepted < n_periods:
-        chi1, _, se = _channel.sample_two_hop_se_batch(rng, cfg, block)
-        acc = se >= policy.rho
-        k = int(acc.sum())
-        if k == 0:
-            drawn_since_accept += block
+        chi1, _, se = _channel.sample_two_hop_se_batch(rng, cfg, BLOCK_PROBES)
+        acc = np.flatnonzero(se >= policy.rho)
+        if acc.size == 0:
+            drawn_since_accept += BLOCK_PROBES
         else:
-            drawn_since_accept = block - 1 - int(np.flatnonzero(acc)[-1])
+            drawn_since_accept = BLOCK_PROBES - 1 - int(acc[-1])
         if drawn_since_accept > max_probes:
             raise RunawayPeriodError(
                 f"no stop within {max_probes} probes; threshold above support?")
-        time_parts.append(tau * (1 + chi1))
-        rate_parts.append(se)
-        accept_parts.append(acc)
-        n_accepted += k
+        cum_time = tau * (1 + chi1)
+        cum_time[0] += carry
+        np.cumsum(cum_time, out=cum_time)
+        stops = acc[:n_periods - n_accepted]
+        done = n_accepted + stops.size
+        stop_idx[n_accepted:done] = n_drawn + stops
+        cum_at_stop[n_accepted:done] = cum_time[stops]
+        rate[n_accepted:done] = se[stops]
+        n_accepted = done
+        n_drawn += BLOCK_PROBES
+        carry = cum_time[-1]
 
-    accept = np.concatenate(accept_parts)
-    stop_idx = np.flatnonzero(accept)[:n_periods]
     n_probed = np.diff(stop_idx, prepend=-1)
     if n_probed.max() > max_probes:
         raise RunawayPeriodError(
             f"no stop within {max_probes} probes; threshold above support?")
-    cum_time = np.cumsum(np.concatenate(time_parts))
-    probing_time = np.diff(cum_time[stop_idx], prepend=0.0)
-    rate = np.concatenate(rate_parts)[stop_idx]
+    probing_time = np.diff(cum_at_stop, prepend=0.0)
     return PeriodArrays(n_probed, probing_time + T, W * T * rate, rate)
 
 
@@ -298,9 +309,10 @@ def estimate_throughput(policy: StoppingPolicy, cfg: ScenarioConfig,
 
 
 def write_trace_csv(path, arrays: PeriodArrays) -> None:
+    """One row per period, floats written as repr, in csv's \\r\\n dialect."""
+    columns = (arrays.n_probed.tolist(), arrays.period_time.tolist(),
+               arrays.bits.tolist(), arrays.selected_se.tolist())
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["period_index", "n_probed", "period_time_s", "bits", "selected_se"])
-        for i in range(arrays.bits.size):
-            w.writerow([i, int(arrays.n_probed[i]), repr(float(arrays.period_time[i])),
-                        repr(float(arrays.bits[i])), repr(float(arrays.selected_se[i]))])
+        f.write("period_index,n_probed,period_time_s,bits,selected_se\r\n")
+        f.writelines(f"{i},{n},{t!r},{b!r},{r!r}\r\n"
+                     for i, (n, t, b, r) in enumerate(zip(*columns)))

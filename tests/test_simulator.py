@@ -1,15 +1,19 @@
+import csv
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import relayprobe as rp
 from relayprobe import cli, sedist, simulator, solver
 from relayprobe.channel import (RelayRegion, ScenarioConfig,
                                 sample_two_hop_se_batch)
-from relayprobe.simulator import (CHUNK_PERIODS, MYOPIC, ExplicitThreshold,
-                                  FixedBeta, OptimalThreshold, PeriodRecord,
+from relayprobe.simulator import (BLOCK_PROBES, CHUNK_PERIODS, MYOPIC,
+                                  ExplicitThreshold, FixedBeta,
+                                  OptimalThreshold, PeriodRecord,
                                   Probe, RunawayPeriodError, batch_means_stderr,
                                   estimate_throughput, optimal_solution,
                                   resolve_policy, run_period, run_period_from_probes,
@@ -174,6 +178,19 @@ class TestClearLawMemo:
             cfg_p = dataclasses.replace(cfg, p_avail=p)
             law = sedist.build_empirical(cfg_p, 10 ** 6, np.random.default_rng([4, 2 ** 31]))
             fresh = solver.solve_mu_star(law, cfg.bandwidth_W, cfg.T_data, cfg.tau, p)
+            assert rho == fresh.threshold_se
+
+    def test_one_build_per_tau_sweep(self, builds):
+        # the clear-link law does not read tau or T_data, so neither keys it
+        cfg = rp.default_scenario(p_avail=0.4)
+        taus = (0.01, 0.02, 0.05)
+        rhos = [optimal_solution(dataclasses.replace(cfg, tau=t), 0, 1000).threshold_se
+                for t in taus]
+        optimal_solution(dataclasses.replace(cfg, T_data=0.5), 0, 1000)
+        assert len(builds) == 1
+        for t, rho in zip(taus, rhos):
+            law = sedist.build_empirical(cfg, 1000, np.random.default_rng([0, 2 ** 31]))
+            fresh = solver.solve_mu_star(law, cfg.bandwidth_W, cfg.T_data, t, 0.4)
             assert rho == fresh.threshold_se
 
     def test_clear_law_change_rebuilds(self, builds):
@@ -348,6 +365,128 @@ class TestEngineAgainstScalarLoop:
         assert abs(loop_n - arr.n_probed.mean()) < 4 * (1 / 0.16) / math.sqrt(4000)
 
 
+def flat_oracle(policy, cfg, seed, chunk_index, n_periods, max_probes):
+    """The threshold engine as one flat pass: keep every block of the probe
+    stream, then take the first n_periods stops and one cumsum over it all."""
+    rng = np.random.default_rng([seed, chunk_index])
+    time_parts, rate_parts, accept_parts = [], [], []
+    n_accepted = drawn_since_accept = 0
+    while n_accepted < n_periods:
+        chi1, _, se = sample_two_hop_se_batch(rng, cfg, BLOCK_PROBES)
+        acc = se >= policy.rho
+        hits = np.flatnonzero(acc)
+        drawn_since_accept = (drawn_since_accept + BLOCK_PROBES if hits.size == 0
+                              else BLOCK_PROBES - 1 - int(hits[-1]))
+        if drawn_since_accept > max_probes:
+            raise RunawayPeriodError("tail")
+        time_parts.append(cfg.tau * (1 + chi1))
+        rate_parts.append(se)
+        accept_parts.append(acc)
+        n_accepted += hits.size
+    stop_idx = np.flatnonzero(np.concatenate(accept_parts))[:n_periods]
+    n_probed = np.diff(stop_idx, prepend=-1)
+    if n_probed.max() > max_probes:
+        raise RunawayPeriodError("span")
+    cum_time = np.cumsum(np.concatenate(time_parts))
+    rate = np.concatenate(rate_parts)[stop_idx]
+    W, T = cfg.bandwidth_W, cfg.T_data
+    return simulator.PeriodArrays(n_probed, np.diff(cum_time[stop_idx], prepend=0.0) + T,
+                                  W * T * rate, rate)
+
+
+def assert_same_arrays(a, b):
+    for x, y in zip(dataclasses.astuple(a), dataclasses.astuple(b)):
+        assert x.dtype == y.dtype
+        assert np.array_equal(x, y)
+
+
+@pytest.fixture(scope="module")
+def clear_q99():
+    """A threshold near the 99th percentile of the geometric clear-link law."""
+    law = sedist.build_empirical(rp.default_scenario(p_avail=1.0), 10 ** 5,
+                                 np.random.default_rng(5))
+    return ExplicitThreshold(float(np.quantile(law.samples, 0.99)))
+
+
+ORACLE_CASES = [
+    # on/off at p = 0.005: about 40,000 probes per period, several blocks each
+    *[("onoff", 0.005, n) for n in (1, 7)],
+    *[("onoff", p, n) for p in (0.3, 1.0) for n in (1, 7, CHUNK_PERIODS)],
+    # geometric at p = 0.1 and rho ~ q99: about 10,000 probes per period
+    *[("geometric", 0.1, n) for n in (1, 7)],
+    *[("geometric", 0.9, n) for n in (1, 7, CHUNK_PERIODS)],
+]
+
+
+class TestStreamedEngine:
+    """The engine reduces each block as it is drawn; it must give exactly
+    what one flat pass over the same probe stream gives."""
+
+    @pytest.mark.parametrize("mode,p,n", ORACLE_CASES)
+    def test_equals_flat_oracle(self, clear_q99, mode, p, n):
+        if mode == "onoff":
+            cfg, policy = onoff_cfg(p=p), MYOPIC
+        else:
+            cfg, policy = rp.default_scenario(p_avail=p), clear_q99
+        for chunk in (0, 3):
+            got = simulator._simulate_chunk(policy, cfg, 21, chunk, n, 10 ** 6)
+            assert_same_arrays(got, flat_oracle(policy, cfg, 21, chunk, n, 10 ** 6))
+
+    @given(p=st.floats(0.05, 1.0), rho=st.floats(0.0, 2.0),
+           n=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_onoff_property(self, p, rho, n, seed):
+        cfg, policy = onoff_cfg(p=p), ExplicitThreshold(rho)
+        assert_same_arrays(simulator._simulate_chunk(policy, cfg, seed, 0, n, 10 ** 6),
+                           flat_oracle(policy, cfg, seed, 0, n, 10 ** 6))
+
+    @pytest.mark.parametrize("max_probes", [1000, BLOCK_PROBES + 4000])
+    def test_runaway_still_raised(self, max_probes):
+        # about 40,000 probes per period, so both limits are exceeded
+        cfg = onoff_cfg(p=0.005)
+        with pytest.raises(RunawayPeriodError):
+            flat_oracle(MYOPIC, cfg, 2, 0, 7, max_probes)
+        with pytest.raises(RunawayPeriodError):
+            simulator._simulate_chunk(MYOPIC, cfg, 2, 0, 7, max_probes)
+
+    def test_runaway_across_blocks(self, monkeypatch):
+        # a period that spans three blocks but leaves no block with a long
+        # tail is caught once all stops are known; one more probe is fine
+        stops = [BLOCK_PROBES - 10, 2 * BLOCK_PROBES + 100, 2 * BLOCK_PROBES + 101]
+        se = np.zeros(3 * BLOCK_PROBES)
+        se[stops] = 1.0
+
+        def scripted(rng, cfg, n):
+            k = scripted.drawn
+            scripted.drawn += n
+            return np.ones(n, np.int8), np.ones(n, np.int8), se[k:k + n]
+
+        monkeypatch.setattr(simulator._channel, "sample_two_hop_se_batch", scripted)
+        span = stops[1] - stops[0]
+        for max_probes, ok in ((span - 1, False), (span, True)):
+            scripted.drawn = 0
+            if ok:
+                got = simulator._simulate_chunk(MYOPIC, onoff_cfg(), 0, 0, 3, max_probes)
+                assert got.n_probed.tolist() == [stops[0] + 1, span, 1]
+            else:
+                with pytest.raises(RunawayPeriodError):
+                    simulator._simulate_chunk(MYOPIC, onoff_cfg(), 0, 0, 3, max_probes)
+
+    def test_chunk_memory_is_bounded(self):
+        # myopic at p = 0.05 takes about 400 probes per period, 1.6e6 per
+        # chunk; keeping every block would hold tens of MB, while a streamed
+        # chunk holds one block and its output arrays
+        cfg = onoff_cfg(p=0.05)
+        simulate_periods(MYOPIC, cfg, 10, 0)
+        tracemalloc.start()
+        try:
+            simulate_periods(MYOPIC, cfg, CHUNK_PERIODS, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
+
 class TestBatchMeans:
     def test_stderr_shrinks_with_periods(self):
         cfg = onoff_cfg()
@@ -370,3 +509,17 @@ class TestTraceCsv:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "period_index,n_probed,period_time_s,bits,selected_se"
         assert len(lines) == 101
+
+    @pytest.mark.parametrize("policy", [MYOPIC, FixedBeta(3)])
+    def test_bytes_equal_csv_writer(self, tmp_path, policy):
+        arrays = simulate_periods(policy, rp.default_scenario(p_avail=0.7), 500, 6)
+        path = tmp_path / "trace.csv"
+        simulator.write_trace_csv(path, arrays)
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(["period_index", "n_probed", "period_time_s", "bits", "selected_se"])
+            for i in range(arrays.bits.size):
+                w.writerow([i, int(arrays.n_probed[i]), repr(float(arrays.period_time[i])),
+                            repr(float(arrays.bits[i])), repr(float(arrays.selected_se[i]))])
+        assert path.read_bytes() == ref.read_bytes()
