@@ -254,41 +254,32 @@ def sample_two_hop_se_batch(rng: np.random.Generator, cfg: ScenarioConfig, n: in
     Returns (chi1, chi2, se) where chi1/chi2 are 0/1 availability indicators
     for the two hops and se is the two-hop spectral efficiency (0 whenever
     either hop is blocked). The draw order is fixed so that a given generator
-    state always yields the same probes: the two position uniforms, chi1,
-    shadow1, chi2, shadow2. Every variate is drawn, but the link budget runs
-    only on the dual-clear relays, a share p_avail**2 of them.
+    state always yields the same probes: chi1 and chi2 for all n relays, then
+    for the k dual-clear relays only (a share p_avail**2) the two position
+    uniforms, shadow1 and shadow2. A blocked relay's rate is 0 whatever its
+    position and shadowing, so those are never drawn for it.
     """
-    if cfg.channel_mode == "onoff":
-        chi1 = (rng.random(n) < cfg.p_avail).astype(np.int8)
-        chi2 = (rng.random(n) < cfg.p_avail).astype(np.int8)
-        se = np.where((chi1 & chi2).astype(bool), cfg.se_cap, 0.0)
-        return chi1, chi2, se
-
-    u_radius, u_angle = rng.random(n), rng.random(n)
     chi1 = (rng.random(n) < cfg.p_avail).astype(np.int8)
-    shadow1 = rng.normal(0.0, cfg.shadow_sigma, n)
     chi2 = (rng.random(n) < cfg.p_avail).astype(np.int8)
-    # the link budget runs on the dual-clear subset only, and each full-size
-    # draw is dropped once its subset is taken; when every relay is clear the
-    # subset is a view of the draw, not a copy
     both = chi1 & chi2
-    clear = slice(None) if both.all() else np.flatnonzero(both)
-    shadow1 = shadow1[clear]
-    shadow2 = rng.normal(0.0, cfg.shadow_sigma, n)[clear]
-    x, y = _disk_points(u_radius[clear], u_angle[clear], cfg.relay_region)
-    del u_radius, u_angle
+    if cfg.channel_mode == "onoff":
+        return chi1, chi2, np.where(both.astype(bool), cfg.se_cap, 0.0)
 
+    # when every relay is clear the rates need no scatter through an index
+    k = np.count_nonzero(both)
+    clear = slice(None) if k == n else np.flatnonzero(both)
+    del both
+    x, y = _disk_points(rng.random(k), rng.random(k), cfg.relay_region)
     d = np.hypot(x - cfg.source_pos[0], y - cfg.source_pos[1])
     s1 = snr_linear(cfg.tx_power_bs, cfg.bf_gain_bs, cfg.bf_gain_dev,
-                    d, shadow1, 1, cfg)
-    del shadow1
+                    d, rng.normal(0.0, cfg.shadow_sigma, k), 1, cfg)
     np.subtract(cfg.dest_pos[0], x, out=x)
     np.subtract(cfg.dest_pos[1], y, out=y)
     np.hypot(x, y, out=d)
     del x, y
     s2 = snr_linear(cfg.tx_power_dev, cfg.bf_gain_dev, cfg.bf_gain_dev,
-                    d, shadow2, 1, cfg)
-    del d, shadow2
+                    d, rng.normal(0.0, cfg.shadow_sigma, k), 1, cfg)
+    del d
     se = np.zeros(n)
     se[clear] = two_hop_se(s1, s2, cfg)
     return chi1, chi2, se

@@ -182,14 +182,20 @@ def _simulate_chunk(policy, cfg, seed, chunk_index, n_periods, max_probes):
     W, T, tau = cfg.bandwidth_W, cfg.T_data, cfg.tau
 
     if isinstance(policy, FixedBeta):
+        # whole periods are drawn in blocks of about BLOCK_PROBES relays, so
+        # memory is O(block + beta + n_periods) whatever beta is
         beta = policy.beta
-        chi1, _, se = _channel.sample_two_hop_se_batch(rng, cfg, n_periods * beta)
-        chi1 = chi1.reshape(n_periods, beta)
-        best = se.reshape(n_periods, beta).max(axis=1)
-        time = tau * (beta + chi1.sum(axis=1)) + T
+        step = max(1, BLOCK_PROBES // beta)
+        best = np.empty(n_periods)
+        n_first = np.empty(n_periods, dtype=np.int64)
+        for i in range(0, n_periods, step):
+            m = min(step, n_periods - i)
+            chi1, _, se = _channel.sample_two_hop_se_batch(rng, cfg, m * beta)
+            n_first[i:i + m] = chi1.reshape(m, beta).sum(axis=1)
+            best[i:i + m] = se.reshape(m, beta).max(axis=1)
         return PeriodArrays(
             np.full(n_periods, beta, dtype=np.int64),
-            time, W * T * best, best,
+            tau * (beta + n_first) + T, W * T * best, best,
         )
 
     # Probes are i.i.d. and the threshold test is per-probe, so a flat probe

@@ -10,6 +10,7 @@ from relayprobe.channel import (ConfigError, RelayRegion, ScenarioConfig,
                                 db_to_linear, linear_to_db, noise_power_dbm,
                                 pathloss_db, sample_relay_positions,
                                 sample_two_hop_se_batch, snr_linear, two_hop_se)
+from relayprobe.sedist import build_empirical
 
 
 @pytest.fixture
@@ -94,12 +95,14 @@ def test_db_linear_round_trip():
 class TestRelaySampling:
     def test_degenerate_randomness(self):
         # every hop clear and no shadowing: each rate follows from its relay
-        # position alone, and the positions are the stream's first draws
+        # position alone, and the positions follow the 2n blockage uniforms
         cfg = rp.default_scenario(p_avail=1.0, shadow_sigma=0.0)
         n = 1000
         chi1, chi2, se = sample_two_hop_se_batch(np.random.default_rng(0), cfg, n)
         assert np.all(chi1 == 1) and np.all(chi2 == 1)
-        pos = sample_relay_positions(np.random.default_rng(0), cfg, n)
+        rng = np.random.default_rng(0)
+        rng.random(2 * n)
+        pos = sample_relay_positions(rng, cfg, n)
         d1 = np.hypot(*(pos - cfg.source_pos).T)
         d2 = np.hypot(*(np.asarray(cfg.dest_pos) - pos).T)
         s1 = snr_linear(cfg.tx_power_bs, cfg.bf_gain_bs, cfg.bf_gain_dev,
@@ -117,21 +120,24 @@ class TestRelaySampling:
         rp.default_scenario(p_avail=0.5, channel_mode="onoff"),
     ], ids=["p0.1", "p0.5", "p1", "onoff"])
     def test_kernel_equals_full_array_link_budget(self, cfg, n):
-        # the kernel runs the link budget on dual-clear relays only; a twin
-        # generator redraws the same variates, in the same order, and runs
-        # it on every relay, blocked or not
+        # the kernel draws position and shadowing for dual-clear relays only
+        # and runs the link budget on them alone; a twin generator redraws
+        # the same variates, in the same order, gives each blocked relay a
+        # stand-in position and no shadowing, and runs the link budget on
+        # every relay, so a blocked one gets rate 0 from its blocked hop
         got = sample_two_hop_se_batch(np.random.default_rng([n, 5]), cfg, n)
         rng = np.random.default_rng([n, 5])
+        chi1 = (rng.random(n) < cfg.p_avail).astype(np.int8)
+        chi2 = (rng.random(n) < cfg.p_avail).astype(np.int8)
         if cfg.channel_mode == "onoff":
-            chi1 = (rng.random(n) < cfg.p_avail).astype(np.int8)
-            chi2 = (rng.random(n) < cfg.p_avail).astype(np.int8)
             se = np.where((chi1 & chi2) == 1, cfg.se_cap, 0.0)
         else:
-            pos = sample_relay_positions(rng, cfg, n)
-            chi1 = (rng.random(n) < cfg.p_avail).astype(np.int8)
-            shadow1 = rng.normal(0.0, cfg.shadow_sigma, n)
-            chi2 = (rng.random(n) < cfg.p_avail).astype(np.int8)
-            shadow2 = rng.normal(0.0, cfg.shadow_sigma, n)
+            clear = np.flatnonzero(chi1 & chi2)
+            pos = np.tile(cfg.relay_region.center, (n, 1))
+            pos[clear] = sample_relay_positions(rng, cfg, clear.size)
+            shadow1, shadow2 = np.zeros(n), np.zeros(n)
+            shadow1[clear] = rng.normal(0.0, cfg.shadow_sigma, clear.size)
+            shadow2[clear] = rng.normal(0.0, cfg.shadow_sigma, clear.size)
             d1 = np.hypot(*(pos - cfg.source_pos).T)
             d2 = np.hypot(*(np.asarray(cfg.dest_pos) - pos).T)
             s1 = snr_linear(cfg.tx_power_bs, cfg.bf_gain_bs, cfg.bf_gain_dev,
@@ -141,6 +147,28 @@ class TestRelaySampling:
             se = two_hop_se(s1, s2, cfg)
         for a, b in zip(got, (chi1, chi2, se)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("p", [0.1, 0.5])
+    def test_draw_order_keeps_the_law(self, p):
+        # blockage is drawn for every relay first and geometry for the
+        # dual-clear relays only; the law must still be the model's: two
+        # independent hops, each clear w.p. p, and a dual-clear relay's rate
+        # distributed as the p = 1 clear-link law drawn on another stream
+        cfg = rp.default_scenario(p_avail=p)
+        n = 10 ** 6
+        chi1, chi2, se = sample_two_hop_se_batch(np.random.default_rng([6, int(10 * p)]),
+                                                 cfg, n)
+        both = (chi1 & chi2).astype(bool)
+        q = p * p
+        assert abs(both.mean() - q) < 4 * math.sqrt(q * (1 - q) / n)
+        for chi in (chi1, chi2):
+            assert abs(chi.mean() - p) < 4 * math.sqrt(p * (1 - p) / n)
+        # the sample covariance of two independent Bernoulli(p) indicators
+        # has standard deviation p(1 - p)/sqrt(n)
+        cov = (chi1 & chi2).mean() - chi1.mean() * chi2.mean()
+        assert abs(cov) < 4 * p * (1 - p) / math.sqrt(n)
+        law = build_empirical(cfg, 10 ** 5, np.random.default_rng(7))
+        assert stats.ks_2samp(se[both], law.samples).pvalue > 1e-3
 
     def test_first_hop_blockage_fraction(self):
         cfg = rp.default_scenario(p_avail=0.5)

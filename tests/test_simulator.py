@@ -487,6 +487,50 @@ class TestStreamedEngine:
         assert peak < 4 * 2 ** 20
 
 
+def fixed_oracle(beta, cfg, seed, chunk_index, n_periods, periods_per_draw):
+    """A FixedBeta chunk drawn as consecutive calls of periods_per_draw whole
+    periods each, reduced after the last call."""
+    rng = np.random.default_rng([seed, chunk_index])
+    draws = [sample_two_hop_se_batch(rng, cfg, min(periods_per_draw, n_periods - i) * beta)
+             for i in range(0, n_periods, periods_per_draw)]
+    chi1 = np.concatenate([d[0] for d in draws]).reshape(n_periods, beta)
+    best = np.concatenate([d[2] for d in draws]).reshape(n_periods, beta).max(axis=1)
+    W, T = cfg.bandwidth_W, cfg.T_data
+    return simulator.PeriodArrays(np.full(n_periods, beta, dtype=np.int64),
+                                  cfg.tau * (beta + chi1.sum(axis=1)) + T,
+                                  W * T * best, best)
+
+
+class TestFixedBetaBlocks:
+    """FixedBeta draws whole periods in blocks of about BLOCK_PROBES relays."""
+
+    @pytest.mark.parametrize("beta", [1, 4, 5, 1000, BLOCK_PROBES + 1])
+    @pytest.mark.parametrize("mode", ["onoff", "geometric"])
+    def test_blocks_of_whole_periods(self, mode, beta):
+        # a whole chunk of beta <= 4 fits in one block, so its stream is the
+        # one draw of n_periods * beta relays it always was
+        cfg = onoff_cfg() if mode == "onoff" else rp.default_scenario(p_avail=0.5)
+        step = max(1, BLOCK_PROBES // beta)
+        for n in (1, min(2 * step + 1, CHUNK_PERIODS)):
+            assert_same_arrays(
+                simulator._simulate_chunk(FixedBeta(beta), cfg, 4, 2, n, 10 ** 6),
+                fixed_oracle(beta, cfg, 4, 2, n, step))
+
+    def test_chunk_memory_is_bounded(self):
+        # FixedBeta(1000) probes 4.1e6 relays per 4096-period chunk; one draw
+        # of them all would hold over 100 MB, while a block of 16 periods
+        # holds 16,000 relays
+        cfg = rp.default_scenario(p_avail=0.5)
+        simulator._simulate_chunk(FixedBeta(1000), cfg, 0, 0, 10, 10 ** 6)
+        tracemalloc.start()
+        try:
+            simulator._simulate_chunk(FixedBeta(1000), cfg, 0, 0, CHUNK_PERIODS, 10 ** 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
+
 class TestBatchMeans:
     def test_stderr_shrinks_with_periods(self):
         cfg = onoff_cfg()
