@@ -5,10 +5,9 @@ renewal-reward Monte Carlo simulator."""
 from .channel import RelayRegion, ScenarioConfig, default_scenario
 from .sedist import EmpiricalSe, build_empirical
 from .simulator import (MYOPIC, ExplicitThreshold, FixedBeta,
-                        OptimalThreshold, PeriodRecord, ThroughputEstimate,
-                        estimate_throughput, run_period, simulate_periods)
-from .solver import (SolverSettings, StoppingSolution, closed_form_onoff,
-                     genie_ratio_onoff, ordinary_value, solve_mu_star,
-                     solve_rho)
+                        OptimalThreshold, ThroughputEstimate,
+                        estimate_throughput, simulate_periods)
+from .solver import (StoppingSolution, closed_form_onoff, genie_ratio_onoff,
+                     ordinary_value, solve_mu_star, solve_rho)
 
 __version__ = "0.1.0"

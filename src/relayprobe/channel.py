@@ -102,11 +102,6 @@ class ScenarioConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
         d = dict(d)
-        # relays form an unbounded i.i.d. pool; configs saved while a finite
-        # pool was an option still carry "relay_pool_size": null
-        if d.pop("relay_pool_size", None) is not None:
-            raise ConfigError("relay_pool_size must be null: relays form an "
-                              "unbounded i.i.d. pool")
         unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -173,14 +168,6 @@ def default_scenario(p_avail: float = 0.5, tau: float = 0.01, **overrides) -> Sc
     return ScenarioConfig(**base)
 
 
-def db_to_linear(x_db):
-    return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
-
-
-def linear_to_db(x_lin):
-    return 10.0 * np.log10(np.asarray(x_lin, dtype=float))
-
-
 def pathloss_db(distance, cfg: ScenarioConfig):
     """Distance-dependent pathloss a + b*log10(d/1km) in dB. Accepts arrays."""
     d = np.asarray(distance, dtype=float)
@@ -195,13 +182,9 @@ def noise_power_dbm(cfg: ScenarioConfig) -> float:
     return cfg.noise_psd + 10.0 * math.log10(cfg.bandwidth_W) + cfg.noise_figure
 
 
-def snr_linear(tx_dbm, g_tx, g_rx, distance, shadow_db, blocked, cfg: ScenarioConfig):
-    """Linear SNR of one hop; exactly 0 when the hop is blocked.
-
-    Received power (dBm) = tx + g_tx + g_rx - pathloss + shadowing; the
-    blockage indicator multiplies the received power, so a blocked hop has
-    zero SNR regardless of geometry.
-    """
+def snr_linear(tx_dbm, g_tx, g_rx, distance, shadow_db, cfg: ScenarioConfig):
+    """Linear SNR of one clear hop, from the received power (dBm)
+    tx + g_tx + g_rx - pathloss + shadowing over the noise power."""
     # computed in place in the fresh pathloss array, one full-size buffer
     snr = np.asarray(pathloss_db(distance, cfg))
     np.subtract(np.asarray(tx_dbm, dtype=float) + g_tx + g_rx, snr, out=snr)
@@ -209,7 +192,6 @@ def snr_linear(tx_dbm, g_tx, g_rx, distance, shadow_db, blocked, cfg: ScenarioCo
     snr -= noise_power_dbm(cfg)
     snr /= 10.0
     np.power(10.0, snr, out=snr)
-    snr *= blocked
     return float(snr) if snr.ndim == 0 else snr
 
 
@@ -243,11 +225,6 @@ def _disk_points(u_radius, u_angle, region: RelayRegion):
     return x, y
 
 
-def sample_relay_positions(rng: np.random.Generator, cfg: ScenarioConfig, n: int) -> np.ndarray:
-    """Uniform positions on the relay disk via inverse-CDF radius sampling."""
-    return np.column_stack(_disk_points(rng.random(n), rng.random(n), cfg.relay_region))
-
-
 def sample_two_hop_se_batch(rng: np.random.Generator, cfg: ScenarioConfig, n: int):
     """Vectorized draw of n i.i.d. probes.
 
@@ -272,13 +249,13 @@ def sample_two_hop_se_batch(rng: np.random.Generator, cfg: ScenarioConfig, n: in
     x, y = _disk_points(rng.random(k), rng.random(k), cfg.relay_region)
     d = np.hypot(x - cfg.source_pos[0], y - cfg.source_pos[1])
     s1 = snr_linear(cfg.tx_power_bs, cfg.bf_gain_bs, cfg.bf_gain_dev,
-                    d, rng.normal(0.0, cfg.shadow_sigma, k), 1, cfg)
+                    d, rng.normal(0.0, cfg.shadow_sigma, k), cfg)
     np.subtract(cfg.dest_pos[0], x, out=x)
     np.subtract(cfg.dest_pos[1], y, out=y)
     np.hypot(x, y, out=d)
     del x, y
     s2 = snr_linear(cfg.tx_power_dev, cfg.bf_gain_dev, cfg.bf_gain_dev,
-                    d, rng.normal(0.0, cfg.shadow_sigma, k), 1, cfg)
+                    d, rng.normal(0.0, cfg.shadow_sigma, k), cfg)
     del d
     se = np.zeros(n)
     se[clear] = two_hop_se(s1, s2, cfg)

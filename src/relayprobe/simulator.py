@@ -30,18 +30,22 @@ BLOCK_PROBES = 1 << 14
 # one substream id reserved for drawing the clear-link rate law that an
 # OptimalThreshold policy is resolved on
 _DIST_STREAM_ID = 2 ** 31
+# a period that probes more relays than this ends in RunawayPeriodError
+MAX_PROBES = 10 ** 6
+# batch-means error bars split the periods into this many batches
+N_BATCHES = 30
 
 
 class RunawayPeriodError(RuntimeError):
-    """A period failed to stop within max_probes relay probes."""
+    """A period failed to stop within MAX_PROBES relay probes."""
 
 
 # -- policies --------------------------------------------------------------
 
 @dataclass(frozen=True)
 class OptimalThreshold:
-    """Stop at the first relay whose rate reaches the solver's mu*/W."""
-    n_dist_samples: int = 10 ** 6
+    """Stop at the first relay whose rate reaches the solver's mu*/W, solved
+    by `optimal_solution` on 10**6 clear-link draws."""
 
 
 @dataclass(frozen=True)
@@ -68,8 +72,8 @@ class FixedBeta:
     beta: int
 
     def __post_init__(self):
-        if self.beta < 1:
-            raise ValueError("beta must be >= 1")
+        if not 1 <= self.beta <= MAX_PROBES:
+            raise ValueError(f"beta must be in [1, {MAX_PROBES}]")
 
 
 StoppingPolicy = OptimalThreshold | ExplicitThreshold | FixedBeta
@@ -102,67 +106,7 @@ def resolve_policy(policy: StoppingPolicy, cfg: ScenarioConfig,
     """Replace OptimalThreshold with the explicit threshold for `cfg`."""
     if not isinstance(policy, OptimalThreshold):
         return policy
-    return ExplicitThreshold(
-        optimal_solution(cfg, seed, policy.n_dist_samples).threshold_se)
-
-
-# -- single-period simulation ---------------------------------------------
-
-@dataclass(frozen=True)
-class PeriodRecord:
-    n_probed: int
-    period_time: float
-    bits: float
-    selected_se: float
-    running_max: float
-
-
-@dataclass(frozen=True)
-class Probe:
-    """One probed relay as seen by a stopping rule."""
-    first_hop: int
-    rate: float
-
-
-def _probe_stream(rng: np.random.Generator, cfg: ScenarioConfig):
-    while True:
-        chi1, _, se = _channel.sample_two_hop_se_batch(rng, cfg, 1)
-        yield Probe(int(chi1[0]), float(se[0]))
-
-
-def run_period_from_probes(policy: StoppingPolicy, cfg: ScenarioConfig,
-                           probes, max_probes: int = 10 ** 6) -> PeriodRecord:
-    """Run one period against an explicit probe sequence.
-
-    A relay whose first hop is blocked costs tau and has rate 0; otherwise it
-    costs 2*tau. A threshold rule transmits with the relay probed at the
-    stopping stage; FixedBeta transmits with the best of its beta relays.
-    """
-    W, T, tau = cfg.bandwidth_W, cfg.T_data, cfg.tau
-    fixed = isinstance(policy, FixedBeta)
-    probe_time = 0.0
-    running_max = 0.0
-    n = 0
-    for probe in probes:
-        n += 1
-        if n > max_probes:
-            raise RunawayPeriodError(
-                f"no stop within {max_probes} probes; threshold above support?")
-        probe_time += tau * (1 + probe.first_hop)
-        rate = probe.rate if probe.first_hop else 0.0
-        running_max = max(running_max, rate)
-        if (n == policy.beta) if fixed else (rate >= policy.rho):
-            selected = running_max if fixed else rate
-            return PeriodRecord(n, probe_time + T, W * T * selected, selected,
-                                running_max)
-    raise RunawayPeriodError("probe sequence exhausted before stopping")
-
-
-def run_period(policy: StoppingPolicy, cfg: ScenarioConfig,
-               rng: np.random.Generator, max_probes: int = 10 ** 6) -> PeriodRecord:
-    """Simulate one probe-then-transmit period with fresh random relays."""
-    policy = resolve_policy(policy, cfg)
-    return run_period_from_probes(policy, cfg, _probe_stream(rng, cfg), max_probes)
+    return ExplicitThreshold(optimal_solution(cfg, seed).threshold_se)
 
 
 # -- vectorized replication ------------------------------------------------
@@ -176,7 +120,7 @@ class PeriodArrays:
     selected_se: np.ndarray
 
 
-def _simulate_chunk(policy, cfg, seed, chunk_index, n_periods, max_probes):
+def _simulate_chunk(policy, cfg, seed, chunk_index, n_periods):
     """Simulate n_periods periods from substream (seed, chunk_index)."""
     rng = np.random.default_rng([seed, chunk_index])
     W, T, tau = cfg.bandwidth_W, cfg.T_data, cfg.tau
@@ -218,9 +162,9 @@ def _simulate_chunk(policy, cfg, seed, chunk_index, n_periods, max_probes):
             drawn_since_accept += BLOCK_PROBES
         else:
             drawn_since_accept = BLOCK_PROBES - 1 - int(acc[-1])
-        if drawn_since_accept > max_probes:
+        if drawn_since_accept > MAX_PROBES:
             raise RunawayPeriodError(
-                f"no stop within {max_probes} probes; threshold above support?")
+                f"no stop within {MAX_PROBES} probes; threshold above support?")
         cum_time = tau * (1 + chi1)
         cum_time[0] += carry
         np.cumsum(cum_time, out=cum_time)
@@ -234,23 +178,22 @@ def _simulate_chunk(policy, cfg, seed, chunk_index, n_periods, max_probes):
         carry = cum_time[-1]
 
     n_probed = np.diff(stop_idx, prepend=-1)
-    if n_probed.max() > max_probes:
+    if n_probed.max() > MAX_PROBES:
         raise RunawayPeriodError(
-            f"no stop within {max_probes} probes; threshold above support?")
+            f"no stop within {MAX_PROBES} probes; threshold above support?")
     probing_time = np.diff(cum_at_stop, prepend=0.0)
     return PeriodArrays(n_probed, probing_time + T, W * T * rate, rate)
 
 
 def simulate_periods(policy: StoppingPolicy, cfg: ScenarioConfig, n_periods: int,
-                     seed: int, workers: int = 1,
-                     max_probes: int = 10 ** 6) -> PeriodArrays:
+                     seed: int, workers: int = 1) -> PeriodArrays:
     """Simulate n_periods independent periods, bit-identical for any workers."""
     if n_periods < 1:
         raise ValueError("n_periods must be >= 1")
     policy = resolve_policy(policy, cfg, seed)
     n_chunks = (n_periods + CHUNK_PERIODS - 1) // CHUNK_PERIODS
     sizes = [min(CHUNK_PERIODS, n_periods - i * CHUNK_PERIODS) for i in range(n_chunks)]
-    args = [(policy, cfg, seed, i, sizes[i], max_probes) for i in range(n_chunks)]
+    args = [(policy, cfg, seed, i, sizes[i]) for i in range(n_chunks)]
     if workers > 1 and n_chunks > 1:
         # a forked worker would otherwise pay numpy's first-Generator setup
         np.random.default_rng(0)
@@ -283,24 +226,23 @@ class ThroughputEstimate:
     total_time: float
 
 
-def batch_means_stderr(bits: np.ndarray, time: np.ndarray, n_batches: int = 30) -> float:
+def batch_means_stderr(bits: np.ndarray, time: np.ndarray) -> float:
     """Standard error of the ratio estimator from batch-means ratios."""
-    if bits.size < n_batches:
-        raise ValueError(f"need at least {n_batches} periods")
+    if bits.size < N_BATCHES:
+        raise ValueError(f"need at least {N_BATCHES} periods")
     ratios = np.array([b.sum() / t.sum() for b, t in
-                       zip(np.array_split(bits, n_batches),
-                           np.array_split(time, n_batches))])
-    return float(ratios.std(ddof=1) / np.sqrt(n_batches))
+                       zip(np.array_split(bits, N_BATCHES),
+                           np.array_split(time, N_BATCHES))])
+    return float(ratios.std(ddof=1) / np.sqrt(N_BATCHES))
 
 
 def estimate_throughput(policy: StoppingPolicy, cfg: ScenarioConfig,
                         n_periods: int, seed: int, workers: int = 1,
-                        max_probes: int = 10 ** 6,
                         trace_path=None) -> ThroughputEstimate:
     """Renewal-reward throughput estimate over n_periods periods."""
-    if n_periods < 30:
-        raise ValueError("n_periods must be >= 30")
-    arrays = simulate_periods(policy, cfg, n_periods, seed, workers, max_probes)
+    if n_periods < N_BATCHES:
+        raise ValueError(f"n_periods must be >= {N_BATCHES}")
+    arrays = simulate_periods(policy, cfg, n_periods, seed, workers)
     if trace_path is not None:
         write_trace_csv(trace_path, arrays)
     total_bits = float(arrays.bits.sum())

@@ -13,7 +13,7 @@ period time under the current threshold rule), and converges monotonically
 from below for any nonnegative start. The naive fixed-point map
 mu <- W*T*E[(R - mu/W)+] / (tau*(1+p)) has derivative magnitude
 T*P(R > mu*/W)/(tau*(1+p)) at the root, which typically exceeds 1 and
-oscillates; it is kept only as a diagnostic (see `naive_fixed_point_trace`).
+oscillates (`naive_fixed_point_trace` in tests/test_solver.py shows it).
 """
 
 from __future__ import annotations
@@ -22,6 +22,10 @@ import json
 from dataclasses import dataclass
 
 from .sedist import EmpiricalSe
+
+# the Newton loop stops once a step moves mu by at most REL_TOL relative
+REL_TOL = 1e-10
+MAX_ITER = 100
 
 
 class DegenerateDistributionError(ValueError):
@@ -36,18 +40,6 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message: str, last_mu: float):
         super().__init__(message)
         self.last_mu = last_mu
-
-
-@dataclass(frozen=True)
-class SolverSettings:
-    rel_tol: float = 1e-10
-    max_iter: int = 100
-
-    def __post_init__(self):
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -85,69 +77,50 @@ def _newton_step(dist, mu, W, T, tau, p):
     return W * T * dist.mean_above(rho) / (T * dist.tail_prob(rho) + tau * (1.0 + p))
 
 
-def naive_fixed_point_trace(dist: EmpiricalSe, W: float, T: float, tau: float,
-                            p: float, mu_init: float = 0.0, n_iter: int = 20) -> list[float]:
-    """Literal fixed-point map, for demonstrating its oscillation only."""
-    trace = []
-    mu = mu_init
-    for _ in range(n_iter):
-        mu = W * T * dist.expected_excess(mu / W) / (tau * (1.0 + p))
-        trace.append(mu)
-    return trace
+def solve_mu_star(dist: EmpiricalSe, W: float, T: float, tau: float,
+                  p: float) -> StoppingSolution:
+    """Compute the maximum throughput and the matching stopping threshold.
+
+    The Newton-ratio iteration starts at mu = 0 and falls back to
+    `bisect_mu_star` if |h| ever fails to shrink after the first step.
+    """
+    if not (0.0 < p <= 1.0):
+        raise ValueError("p must be in (0, 1]")
+    if dist.mean() <= 0.0:
+        raise DegenerateDistributionError("rate distribution has zero mean")
+
+    mu, prev_abs_h, iterates = 0.0, float("inf"), []
+    for it in range(1, MAX_ITER + 1):
+        mu_next = _newton_step(dist, mu, W, T, tau, p)
+        h = fixed_point_residual(dist, mu_next, W, T, tau, p)
+        if abs(h) > prev_abs_h:
+            return bisect_mu_star(dist, W, T, tau, p, it)
+        iterates.append(mu_next)
+        if abs(mu_next - mu) <= REL_TOL * max(1.0, mu_next):
+            return StoppingSolution(mu_next, mu_next / W, it, h, "newton_ratio",
+                                    tuple(iterates))
+        prev_abs_h = abs(h)
+        mu = mu_next
+    raise ConvergenceError(f"no convergence in {MAX_ITER} iterations", mu)
 
 
-def _bisect_mu(dist, W, T, tau, p, rel_tol, max_iter):
+def bisect_mu_star(dist: EmpiricalSe, W: float, T: float, tau: float, p: float,
+                   newton_iterations: int = 0) -> StoppingSolution:
+    """Plain bisection for mu* on [0, W*r_bar], the Newton loop's fallback.
+
+    The interval is driven well below REL_TOL so both methods agree tightly;
+    `newton_iterations` counts the Newton steps taken before falling back.
+    """
     lo, hi = 0.0, W * dist.support_max
     it = 0
-    while it < max(max_iter, 80) and (hi - lo) > rel_tol * max(1.0, hi):
+    while it < 200 and (hi - lo) > REL_TOL * 1e-3 * max(1.0, hi):
         it += 1
         mid = 0.5 * (lo + hi)
         if fixed_point_residual(dist, mid, W, T, tau, p) > 0.0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi), it
-
-
-def solve_mu_star(dist: EmpiricalSe, W: float, T: float, tau: float, p: float,
-                  settings: SolverSettings | None = None,
-                  method: str = "newton_ratio") -> StoppingSolution:
-    """Compute the maximum throughput and the matching stopping threshold.
-
-    `method` selects the primary iteration ("newton_ratio", default) or plain
-    bisection on [0, W*r_bar]. The Newton-ratio path starts at mu = 0 and
-    falls back to bisection if |h| ever fails to shrink after the first
-    step. Only a Newton-ratio solution carries its iterates.
-    """
-    if not (0.0 < p <= 1.0):
-        raise ValueError("p must be in (0, 1]")
-    settings = settings or SolverSettings()
-    if dist.mean() <= 0.0:
-        raise DegenerateDistributionError("rate distribution has zero mean")
-
-    if method == "bisection":
-        return _bisection_solution(dist, W, T, tau, p, settings, 0)
-    if method != "newton_ratio":
-        raise ValueError(f"unknown method {method!r}")
-
-    mu, prev_abs_h, iterates = 0.0, float("inf"), []
-    for it in range(1, settings.max_iter + 1):
-        mu_next = _newton_step(dist, mu, W, T, tau, p)
-        h = fixed_point_residual(dist, mu_next, W, T, tau, p)
-        if abs(h) > prev_abs_h:
-            return _bisection_solution(dist, W, T, tau, p, settings, it)
-        iterates.append(mu_next)
-        if abs(mu_next - mu) <= settings.rel_tol * max(1.0, mu_next):
-            return StoppingSolution(mu_next, mu_next / W, it, h, "newton_ratio",
-                                    tuple(iterates))
-        prev_abs_h = abs(h)
-        mu = mu_next
-    raise ConvergenceError(f"no convergence in {settings.max_iter} iterations", mu)
-
-
-def _bisection_solution(dist, W, T, tau, p, settings, newton_iterations):
-    # drive the interval well below rel_tol so both methods agree tightly
-    mu, it = _bisect_mu(dist, W, T, tau, p, settings.rel_tol * 1e-3, 200)
+    mu = 0.5 * (lo + hi)
     return StoppingSolution(mu, mu / W, newton_iterations + it,
                             fixed_point_residual(dist, mu, W, T, tau, p), "bisection")
 

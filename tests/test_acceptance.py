@@ -21,7 +21,7 @@ from relayprobe.sedist import EmpiricalSe, build_empirical
 from relayprobe.simulator import (CHUNK_PERIODS, MYOPIC, ExplicitThreshold,
                                   FixedBeta, OptimalThreshold, estimate_throughput,
                                   resolve_policy, simulate_periods)
-from relayprobe.solver import (SolverSettings, closed_form_onoff,
+from relayprobe.solver import (bisect_mu_star, closed_form_onoff,
                                ordinary_value, solve_mu_star)
 
 P_GRID = tuple(round(0.1 * i, 1) for i in range(1, 11))
@@ -317,14 +317,12 @@ def test_criterion_6_solver_convergence():
         dists += [EmpiricalSe(rng.random(10 ** 5) * 2.0),
                   EmpiricalSe(rng.beta(2.0, 5.0, 10 ** 5) * 8.0, r_bar=8.0),
                   EmpiricalSe(np.sort(rng.random(10 ** 5) < 0.25) * 2.0)]
-        settings = SolverSettings(rel_tol=1e-10)
         for dist in dists:
             for tau in (0.01, 0.05):
-                sol = solve_mu_star(dist, 1.0, 1.0, tau, 0.5, settings)
+                sol = solve_mu_star(dist, 1.0, 1.0, tau, 0.5)
                 assert sol.method == "newton_ratio"
                 assert len(sol.iterates) == sol.iterations <= 30
-                bis = solve_mu_star(dist, 1.0, 1.0, tau, 0.5, settings,
-                                    method="bisection")
+                bis = bisect_mu_star(dist, 1.0, 1.0, tau, 0.5)
                 assert bis.mu_star == pytest.approx(sol.mu_star, rel=1e-9)
 
 

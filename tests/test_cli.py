@@ -11,7 +11,7 @@ import relayprobe as rp
 from relayprobe.cli import (SWEEP_COLUMNS, SweepSpec, main, parse_strategy,
                             run_sweep)
 from relayprobe.simulator import (MYOPIC, ExplicitThreshold, FixedBeta,
-                                  OptimalThreshold, resolve_policy)
+                                  OptimalThreshold, optimal_solution)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -136,7 +136,7 @@ class TestSolveCommand:
             "rate law: geometric, 20000 clear-link draws, seed 3"
         assert "genie_ratio" not in res.output
         cfg = rp.ScenarioConfig.from_json(geo_cfg_path)
-        rho = resolve_policy(OptimalThreshold(20000), cfg, 3).rho
+        rho = optimal_solution(cfg, 3, 20000).threshold_se
         assert json.loads(out.read_text())["threshold_se"] == rho
 
     def test_malformed_config(self, runner, tmp_path):
@@ -252,6 +252,18 @@ class TestSweepCommand:
         assert rows[0]["error"] == "" and rows[0]["throughput_bps"] != ""
         assert "RunawayPeriodError" in rows[1]["error"]
         assert rows[1]["throughput_bps"] == ""
+
+    def test_unbounded_fixed_beta_is_an_error_row(self, runner, onoff_cfg_path, tmp_path):
+        # a fixed count above MAX_PROBES is rejected before anything is drawn
+        spec = self.write_spec(tmp_path, grid=[0.5],
+                               strategies=["fixed:1000000000", "fixed:5"])
+        out = tmp_path / "out.csv"
+        res = runner.invoke(main, ["sweep", onoff_cfg_path, spec, "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        rows = read_rows(out)
+        assert rows[0]["error"].startswith("ValueError: beta")
+        assert rows[0]["throughput_bps"] == ""
+        assert rows[1]["error"] == "" and rows[1]["throughput_bps"] != ""
 
     def test_threshold_peak_near_optimal(self, runner, onoff_cfg_path, tmp_path):
         # on/off law: any threshold in (0, r_bar] behaves identically, while

@@ -13,16 +13,71 @@ from relayprobe.channel import (RelayRegion, ScenarioConfig,
                                 sample_two_hop_se_batch)
 from relayprobe.simulator import (BLOCK_PROBES, CHUNK_PERIODS, MYOPIC,
                                   ExplicitThreshold, FixedBeta,
-                                  OptimalThreshold, PeriodRecord,
-                                  Probe, RunawayPeriodError, batch_means_stderr,
-                                  estimate_throughput, optimal_solution,
-                                  resolve_policy, run_period, run_period_from_probes,
+                                  OptimalThreshold, RunawayPeriodError,
+                                  batch_means_stderr, estimate_throughput,
+                                  optimal_solution, resolve_policy,
                                   simulate_periods)
 
 
 def onoff_cfg(p=0.5, tau=0.01, se_cap=2.0, W=1.0):
     return rp.default_scenario(p_avail=p, tau=tau, se_cap=se_cap,
                                bandwidth_W=W, channel_mode="onoff")
+
+
+# -- scalar oracle: one period at a time, one probe at a time ---------------
+
+@dataclasses.dataclass(frozen=True)
+class PeriodRecord:
+    n_probed: int
+    period_time: float
+    bits: float
+    selected_se: float
+    running_max: float
+
+
+@dataclasses.dataclass(frozen=True)
+class Probe:
+    """One probed relay as seen by a stopping rule."""
+    first_hop: int
+    rate: float
+
+
+def _probe_stream(rng, cfg):
+    while True:
+        chi1, _, se = sample_two_hop_se_batch(rng, cfg, 1)
+        yield Probe(int(chi1[0]), float(se[0]))
+
+
+def run_period_from_probes(policy, cfg, probes) -> PeriodRecord:
+    """Run one period against an explicit probe sequence.
+
+    A relay whose first hop is blocked costs tau and has rate 0; otherwise it
+    costs 2*tau. A threshold rule transmits with the relay probed at the
+    stopping stage; FixedBeta transmits with the best of its beta relays.
+    """
+    W, T, tau = cfg.bandwidth_W, cfg.T_data, cfg.tau
+    fixed = isinstance(policy, FixedBeta)
+    probe_time = 0.0
+    running_max = 0.0
+    n = 0
+    for probe in probes:
+        n += 1
+        if n > simulator.MAX_PROBES:
+            raise RunawayPeriodError(f"no stop within {simulator.MAX_PROBES} probes")
+        probe_time += tau * (1 + probe.first_hop)
+        rate = probe.rate if probe.first_hop else 0.0
+        running_max = max(running_max, rate)
+        if (n == policy.beta) if fixed else (rate >= policy.rho):
+            selected = running_max if fixed else rate
+            return PeriodRecord(n, probe_time + T, W * T * selected, selected,
+                                running_max)
+    raise RunawayPeriodError("probe sequence exhausted before stopping")
+
+
+def run_period(policy, cfg, rng) -> PeriodRecord:
+    """Simulate one probe-then-transmit period with fresh random relays."""
+    policy = resolve_policy(policy, cfg)
+    return run_period_from_probes(policy, cfg, _probe_stream(rng, cfg))
 
 
 class TestRunPeriodFromProbes:
@@ -75,11 +130,23 @@ class TestRunPeriodFromProbes:
         assert rec.n_probed == 2
         assert rec.selected_se == 0.01
 
-    def test_runaway(self):
+    def test_runaway(self, monkeypatch):
         cfg = onoff_cfg()
         probes = [Probe(0, 0.0)] * 10
+        monkeypatch.setattr(simulator, "MAX_PROBES", 5)
         with pytest.raises(RunawayPeriodError):
-            run_period_from_probes(ExplicitThreshold(1.0), cfg, probes, max_probes=5)
+            run_period_from_probes(ExplicitThreshold(1.0), cfg, probes)
+
+
+class TestFixedBetaBound:
+    def test_beta_bounded_by_max_probes(self):
+        # every FixedBeta period probes beta relays, so a count above the
+        # runaway bound could only exhaust memory: fixed:1000000000 would
+        # ask for 8 GB per float64 array
+        assert FixedBeta(10 ** 6).beta == 10 ** 6
+        for beta in (0, 10 ** 6 + 1, 10 ** 9):
+            with pytest.raises(ValueError, match="beta"):
+                FixedBeta(beta)
 
 
 class TestRunPeriod:
@@ -90,11 +157,11 @@ class TestRunPeriod:
         assert rec.period_time == pytest.approx(2 * cfg.tau + cfg.T_data)
         assert rec.selected_se == cfg.se_cap
 
-    def test_runaway_threshold_above_support(self):
+    def test_runaway_threshold_above_support(self, monkeypatch):
         cfg = onoff_cfg()
+        monkeypatch.setattr(simulator, "MAX_PROBES", 200)
         with pytest.raises(RunawayPeriodError):
-            run_period(ExplicitThreshold(5.0), cfg, np.random.default_rng(0),
-                       max_probes=200)
+            run_period(ExplicitThreshold(5.0), cfg, np.random.default_rng(0))
 
     def test_geometric_mode(self):
         cfg = rp.default_scenario(p_avail=0.9)
@@ -103,14 +170,15 @@ class TestRunPeriod:
         assert rec.period_time >= cfg.tau + cfg.T_data
         assert 0 <= rec.selected_se <= cfg.se_cap
 
-    def test_myopic_passes_over_zero_rate_relays(self):
+    def test_myopic_passes_over_zero_rate_relays(self, monkeypatch):
         # below about -163 dB SNR a dual-clear relay's rate rounds to 0.0,
         # which the threshold at the smallest positive rate never accepts
         cfg = rp.default_scenario(p_avail=1.0, pathloss_a=400.0)
         _, _, se = sample_two_hop_se_batch(np.random.default_rng(0), cfg, 1000)
         assert np.all(se == 0.0)
+        monkeypatch.setattr(simulator, "MAX_PROBES", 1000)
         with pytest.raises(RunawayPeriodError):
-            simulate_periods(MYOPIC, cfg, 100, 0, max_probes=1000)
+            simulate_periods(MYOPIC, cfg, 100, 0)
 
 
 class TestResolvePolicy:
@@ -129,10 +197,10 @@ class TestResolvePolicy:
 
     def test_geometric_resolution_is_deterministic(self):
         cfg = rp.default_scenario(p_avail=0.5)
-        a = resolve_policy(OptimalThreshold(n_dist_samples=10 ** 4), cfg, seed=5)
+        a = optimal_solution(cfg, 5, 10 ** 4).threshold_se
         simulator._clear_law.cache_clear()
-        b = resolve_policy(OptimalThreshold(n_dist_samples=10 ** 4), cfg, seed=5)
-        assert a.rho == b.rho
+        b = optimal_solution(cfg, 5, 10 ** 4).threshold_se
+        assert a == b
 
     def test_small_p_resolve_is_accurate(self):
         # the law is drawn clear-link only, so at p = 0.1 (about 1% of
@@ -365,7 +433,7 @@ class TestEngineAgainstScalarLoop:
         assert abs(loop_n - arr.n_probed.mean()) < 4 * (1 / 0.16) / math.sqrt(4000)
 
 
-def flat_oracle(policy, cfg, seed, chunk_index, n_periods, max_probes):
+def flat_oracle(policy, cfg, seed, chunk_index, n_periods):
     """The threshold engine as one flat pass: keep every block of the probe
     stream, then take the first n_periods stops and one cumsum over it all."""
     rng = np.random.default_rng([seed, chunk_index])
@@ -377,7 +445,7 @@ def flat_oracle(policy, cfg, seed, chunk_index, n_periods, max_probes):
         hits = np.flatnonzero(acc)
         drawn_since_accept = (drawn_since_accept + BLOCK_PROBES if hits.size == 0
                               else BLOCK_PROBES - 1 - int(hits[-1]))
-        if drawn_since_accept > max_probes:
+        if drawn_since_accept > simulator.MAX_PROBES:
             raise RunawayPeriodError("tail")
         time_parts.append(cfg.tau * (1 + chi1))
         rate_parts.append(se)
@@ -385,7 +453,7 @@ def flat_oracle(policy, cfg, seed, chunk_index, n_periods, max_probes):
         n_accepted += hits.size
     stop_idx = np.flatnonzero(np.concatenate(accept_parts))[:n_periods]
     n_probed = np.diff(stop_idx, prepend=-1)
-    if n_probed.max() > max_probes:
+    if n_probed.max() > simulator.MAX_PROBES:
         raise RunawayPeriodError("span")
     cum_time = np.cumsum(np.concatenate(time_parts))
     rate = np.concatenate(rate_parts)[stop_idx]
@@ -429,25 +497,26 @@ class TestStreamedEngine:
         else:
             cfg, policy = rp.default_scenario(p_avail=p), clear_q99
         for chunk in (0, 3):
-            got = simulator._simulate_chunk(policy, cfg, 21, chunk, n, 10 ** 6)
-            assert_same_arrays(got, flat_oracle(policy, cfg, 21, chunk, n, 10 ** 6))
+            got = simulator._simulate_chunk(policy, cfg, 21, chunk, n)
+            assert_same_arrays(got, flat_oracle(policy, cfg, 21, chunk, n))
 
     @given(p=st.floats(0.05, 1.0), rho=st.floats(0.0, 2.0),
            n=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_onoff_property(self, p, rho, n, seed):
         cfg, policy = onoff_cfg(p=p), ExplicitThreshold(rho)
-        assert_same_arrays(simulator._simulate_chunk(policy, cfg, seed, 0, n, 10 ** 6),
-                           flat_oracle(policy, cfg, seed, 0, n, 10 ** 6))
+        assert_same_arrays(simulator._simulate_chunk(policy, cfg, seed, 0, n),
+                           flat_oracle(policy, cfg, seed, 0, n))
 
     @pytest.mark.parametrize("max_probes", [1000, BLOCK_PROBES + 4000])
-    def test_runaway_still_raised(self, max_probes):
+    def test_runaway_still_raised(self, max_probes, monkeypatch):
         # about 40,000 probes per period, so both limits are exceeded
         cfg = onoff_cfg(p=0.005)
+        monkeypatch.setattr(simulator, "MAX_PROBES", max_probes)
         with pytest.raises(RunawayPeriodError):
-            flat_oracle(MYOPIC, cfg, 2, 0, 7, max_probes)
+            flat_oracle(MYOPIC, cfg, 2, 0, 7)
         with pytest.raises(RunawayPeriodError):
-            simulator._simulate_chunk(MYOPIC, cfg, 2, 0, 7, max_probes)
+            simulator._simulate_chunk(MYOPIC, cfg, 2, 0, 7)
 
     def test_runaway_across_blocks(self, monkeypatch):
         # a period that spans three blocks but leaves no block with a long
@@ -465,12 +534,13 @@ class TestStreamedEngine:
         span = stops[1] - stops[0]
         for max_probes, ok in ((span - 1, False), (span, True)):
             scripted.drawn = 0
+            monkeypatch.setattr(simulator, "MAX_PROBES", max_probes)
             if ok:
-                got = simulator._simulate_chunk(MYOPIC, onoff_cfg(), 0, 0, 3, max_probes)
+                got = simulator._simulate_chunk(MYOPIC, onoff_cfg(), 0, 0, 3)
                 assert got.n_probed.tolist() == [stops[0] + 1, span, 1]
             else:
                 with pytest.raises(RunawayPeriodError):
-                    simulator._simulate_chunk(MYOPIC, onoff_cfg(), 0, 0, 3, max_probes)
+                    simulator._simulate_chunk(MYOPIC, onoff_cfg(), 0, 0, 3)
 
     def test_chunk_memory_is_bounded(self):
         # myopic at p = 0.05 takes about 400 probes per period, 1.6e6 per
@@ -513,7 +583,7 @@ class TestFixedBetaBlocks:
         step = max(1, BLOCK_PROBES // beta)
         for n in (1, min(2 * step + 1, CHUNK_PERIODS)):
             assert_same_arrays(
-                simulator._simulate_chunk(FixedBeta(beta), cfg, 4, 2, n, 10 ** 6),
+                simulator._simulate_chunk(FixedBeta(beta), cfg, 4, 2, n),
                 fixed_oracle(beta, cfg, 4, 2, n, step))
 
     def test_chunk_memory_is_bounded(self):
@@ -521,10 +591,10 @@ class TestFixedBetaBlocks:
         # of them all would hold over 100 MB, while a block of 16 periods
         # holds 16,000 relays
         cfg = rp.default_scenario(p_avail=0.5)
-        simulator._simulate_chunk(FixedBeta(1000), cfg, 0, 0, 10, 10 ** 6)
+        simulator._simulate_chunk(FixedBeta(1000), cfg, 0, 0, 10)
         tracemalloc.start()
         try:
-            simulator._simulate_chunk(FixedBeta(1000), cfg, 0, 0, CHUNK_PERIODS, 10 ** 6)
+            simulator._simulate_chunk(FixedBeta(1000), cfg, 0, 0, CHUNK_PERIODS)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -6,12 +6,23 @@ import pytest
 import relayprobe as rp
 from relayprobe.sedist import EmpiricalSe
 from relayprobe.solver import (ConvergenceError, DegenerateDistributionError,
-                               InfeasibleError, SolverSettings,
-                               StoppingSolution, closed_form_onoff,
+                               InfeasibleError, StoppingSolution,
+                               bisect_mu_star, closed_form_onoff,
                                fixed_point_residual, genie_ratio_onoff,
-                               naive_fixed_point_trace, ordinary_value, solve_mu_star, solve_rho)
+                               ordinary_value, solve_mu_star, solve_rho)
 
 ONOFF = EmpiricalSe([2.0], p_avail=0.5)
+
+
+def naive_fixed_point_trace(dist, W, T, tau, p, mu_init=0.0, n_iter=20):
+    """The literal fixed-point map mu <- W*T*E[(R - mu/W)+] / (tau*(1+p)),
+    which the solver does not use because it oscillates."""
+    trace = []
+    mu = mu_init
+    for _ in range(n_iter):
+        mu = W * T * dist.expected_excess(mu / W) / (tau * (1.0 + p))
+        trace.append(mu)
+    return trace
 
 
 class TestClosedForm:
@@ -95,7 +106,7 @@ class TestSolveMuStar:
         rng = np.random.default_rng(1)
         for dist in (ONOFF, EmpiricalSe(rng.random(20000) * 2.0)):
             a = solve_mu_star(dist, 1.0, 1.0, 0.01, 0.5)
-            b = solve_mu_star(dist, 1.0, 1.0, 0.01, 0.5, method="bisection")
+            b = bisect_mu_star(dist, 1.0, 1.0, 0.01, 0.5)
             assert b.iterates == ()
             assert b.mu_star == pytest.approx(a.mu_star, rel=1e-9)
 
@@ -179,9 +190,3 @@ class TestSolution:
             assert set(d) == {"mu_star_bps", "threshold_se", "iterations",
                               "residual", "method"}
             assert d["mu_star_bps"] == sol.mu_star
-
-    def test_settings_validation(self):
-        with pytest.raises(ValueError):
-            SolverSettings(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            SolverSettings(max_iter=0)
