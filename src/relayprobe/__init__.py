@@ -8,6 +8,6 @@ from .simulator import (MYOPIC, ExplicitThreshold, FixedBeta,
                         OptimalThreshold, ThroughputEstimate,
                         estimate_throughput, simulate_periods)
 from .solver import (StoppingSolution, closed_form_onoff, genie_ratio_onoff,
-                     ordinary_value, solve_mu_star, solve_rho)
+                     solve_mu_star)
 
 __version__ = "0.1.0"

@@ -123,8 +123,7 @@ def sweep_rows(cfg: ScenarioConfig, spec: SweepSpec, workers: int = 1) -> list[l
                     est = simulator.estimate_throughput(
                         policy, cfg_pt, spec.n_periods, spec.seed, workers)
                     est_fields = [repr(est.throughput_bps), repr(est.stderr_bps)]
-            except (RunawayPeriodError, solver.DegenerateDistributionError,
-                    solver.InfeasibleError, ValueError) as exc:
+            except (RunawayPeriodError, solver.ConvergenceError, ValueError) as exc:
                 err = f"{type(exc).__name__}: {exc}"
             rows.append([spec.variable, repr(float(value)), strategy,
                          repr(point.get("p_avail", cfg.p_avail)),
@@ -195,7 +194,8 @@ def solve(config_path, samples, seed, out_path):
 @click.option("--workers", default=1, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", default=None, type=click.IntRange(min=0),
               help="Override the spec's seed.")
-@click.option("--periods", default=None, type=int, help="Override the spec's n_periods.")
+@click.option("--periods", default=None, type=click.IntRange(min=30),
+              help="Override the spec's n_periods.")
 def sweep(config_path, sweep_spec_path, out_csv, workers, seed, periods):
     """Run the sweep described by SWEEP_SPEC_PATH and write a CSV."""
     cfg = _load_config(config_path)

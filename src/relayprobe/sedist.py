@@ -30,7 +30,7 @@ class EmpiricalSe:
     sums, so tail queries are O(log n). Each relay is dual-clear with
     probability p_avail**2; otherwise its rate is 0."""
 
-    def __init__(self, samples, r_bar: float | None = None, p_avail: float = 1.0):
+    def __init__(self, samples, *, p_avail: float = 1.0):
         self._clear = _clear_prob(p_avail)
         s = np.sort(np.asarray(samples, dtype=float))
         if s.size < 1:
@@ -38,9 +38,6 @@ class EmpiricalSe:
         if s[0] < 0:
             raise ValueError("samples must be nonnegative")
         self.samples = s
-        self.r_bar = float(r_bar) if r_bar is not None else float(s[-1])
-        if s[-1] > self.r_bar:
-            raise ValueError("samples exceed r_bar")
         # suffix_sums[i] = sum of samples[i:]
         self._suffix = np.concatenate([np.cumsum(s[::-1])[::-1], [0.0]])
         # laws composed by `at` share both arrays
@@ -52,10 +49,6 @@ class EmpiricalSe:
         law = copy.copy(self)
         law._clear = _clear_prob(p_avail)
         return law
-
-    @property
-    def support_max(self) -> float:
-        return self.r_bar
 
     def _first_at_or_above(self, rho: float) -> int:
         if rho < 0:
@@ -97,4 +90,4 @@ def build_empirical(cfg, n_samples: int = 10 ** 6,
     if rng is None:
         rng = np.random.default_rng()
     _, _, se = channel.sample_two_hop_se_batch(rng, replace(cfg, p_avail=1.0), n_samples)
-    return EmpiricalSe(se, r_bar=cfg.se_cap, p_avail=cfg.p_avail)
+    return EmpiricalSe(se, p_avail=cfg.p_avail)

@@ -32,10 +32,6 @@ class DegenerateDistributionError(ValueError):
     """The rate law has zero mean: no positive-rate relay ever appears."""
 
 
-class InfeasibleError(ValueError):
-    """The requested threshold equation has no solution in the support."""
-
-
 class ConvergenceError(RuntimeError):
     def __init__(self, message: str, last_mu: float):
         super().__init__(message)
@@ -48,7 +44,7 @@ class StoppingSolution:
     threshold_se: float     # bit/s/Hz, equal to mu_star / W
     iterations: int
     residual: float         # h(mu_star), bit/s
-    method: str             # closed_form | newton_ratio | bisection
+    method: str             # closed_form | newton_ratio
     iterates: tuple[float, ...] = ()  # Newton-ratio iterates from mu = 0
 
     def to_dict(self) -> dict:
@@ -79,71 +75,24 @@ def _newton_step(dist, mu, W, T, tau, p):
 
 def solve_mu_star(dist: EmpiricalSe, W: float, T: float, tau: float,
                   p: float) -> StoppingSolution:
-    """Compute the maximum throughput and the matching stopping threshold.
-
-    The Newton-ratio iteration starts at mu = 0 and falls back to
-    `bisect_mu_star` if |h| ever fails to shrink after the first step.
-    """
+    """Compute the maximum throughput and the matching stopping threshold
+    by the Newton-ratio iteration from mu = 0."""
     if not (0.0 < p <= 1.0):
         raise ValueError("p must be in (0, 1]")
     if dist.mean() <= 0.0:
         raise DegenerateDistributionError("rate distribution has zero mean")
 
-    mu, prev_abs_h, iterates = 0.0, float("inf"), []
+    # no fallback needed: Newton on convex, decreasing h climbs to mu* with h >= 0
+    mu, iterates = 0.0, []
     for it in range(1, MAX_ITER + 1):
         mu_next = _newton_step(dist, mu, W, T, tau, p)
-        h = fixed_point_residual(dist, mu_next, W, T, tau, p)
-        if abs(h) > prev_abs_h:
-            return bisect_mu_star(dist, W, T, tau, p, it)
         iterates.append(mu_next)
         if abs(mu_next - mu) <= REL_TOL * max(1.0, mu_next):
-            return StoppingSolution(mu_next, mu_next / W, it, h, "newton_ratio",
-                                    tuple(iterates))
-        prev_abs_h = abs(h)
+            return StoppingSolution(mu_next, mu_next / W, it,
+                                    fixed_point_residual(dist, mu_next, W, T, tau, p),
+                                    "newton_ratio", tuple(iterates))
         mu = mu_next
     raise ConvergenceError(f"no convergence in {MAX_ITER} iterations", mu)
-
-
-def bisect_mu_star(dist: EmpiricalSe, W: float, T: float, tau: float, p: float,
-                   newton_iterations: int = 0) -> StoppingSolution:
-    """Plain bisection for mu* on [0, W*r_bar], the Newton loop's fallback.
-
-    The interval is driven well below REL_TOL so both methods agree tightly;
-    `newton_iterations` counts the Newton steps taken before falling back.
-    """
-    lo, hi = 0.0, W * dist.support_max
-    it = 0
-    while it < 200 and (hi - lo) > REL_TOL * 1e-3 * max(1.0, hi):
-        it += 1
-        mid = 0.5 * (lo + hi)
-        if fixed_point_residual(dist, mid, W, T, tau, p) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    mu = 0.5 * (lo + hi)
-    return StoppingSolution(mu, mu / W, newton_iterations + it,
-                            fixed_point_residual(dist, mu, W, T, tau, p), "bisection")
-
-
-def solve_rho(dist: EmpiricalSe, mu: float, W: float, T: float, tau: float,
-              p: float) -> float:
-    """Threshold rho solving E[(R - rho)+] = mu*tau*(1+p)/(W*T)."""
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
-    rhs = mu * tau * (1.0 + p) / (W * T)
-    if rhs > dist.mean():
-        raise InfeasibleError("probing cost exceeds E[R]: stopping never profitable")
-    lo, hi = 0.0, dist.support_max
-    # piecewise-linear excess: plain bisection, driven well past 1e-9 relative
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if dist.expected_excess(mid) > rhs:
-            lo = mid
-        else:
-            hi = mid
-        if (hi - lo) <= 1e-13 * max(1.0, hi):
-            break
-    return hi
 
 
 def closed_form_onoff(p: float, r_bar: float, W: float, T: float,
@@ -162,21 +111,3 @@ def genie_ratio_onoff(p: float, tau: float, T: float) -> float:
     if not (0.0 < p <= 1.0):
         raise ValueError("p must be in (0, 1]")
     return 1.0 / (1.0 + (1.0 + p) / (p * p) * (tau / T))
-
-
-def ordinary_value(dist: EmpiricalSe, mu: float, W: float, T: float,
-                   tau: float, p: float) -> float:
-    """V(mu) = E[U_N - mu*T_N] under the optimal threshold rule for this mu.
-
-    Evaluated from the geometric stopping structure with threshold
-    rho = solve_rho(mu) and success probability q = P(R >= rho). Diagnostic:
-    V is nonincreasing in mu and V(mu*) = 0.
-    """
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
-    rho = solve_rho(dist, mu, W, T, tau, p)
-    q = dist.tail_prob(rho)
-    if q <= 0.0:
-        raise InfeasibleError("stopping probability is zero at this threshold")
-    return ((W * T * dist.mean_above(rho) - mu * T * q) / q
-            - mu * tau * (1.0 + p) / q)

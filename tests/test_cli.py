@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 import relayprobe as rp
+from relayprobe import solver
 from relayprobe.cli import (SWEEP_COLUMNS, SweepSpec, main, parse_strategy,
                             run_sweep)
 from relayprobe.simulator import (MYOPIC, ExplicitThreshold, FixedBeta,
@@ -265,6 +266,23 @@ class TestSweepCommand:
         assert rows[0]["throughput_bps"] == ""
         assert rows[1]["error"] == "" and rows[1]["throughput_bps"] != ""
 
+    def test_solver_nonconvergence_is_an_error_row(self, runner, onoff_cfg_path,
+                                                   tmp_path, monkeypatch):
+        # a Newton loop cut off before it converges fails only its own rows
+        monkeypatch.setattr(solver, "MAX_ITER", 1)
+        spec = self.write_spec(tmp_path)
+        out = tmp_path / "out.csv"
+        res = runner.invoke(main, ["sweep", onoff_cfg_path, spec, "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        rows = read_rows(out)
+        assert [r["strategy"] for r in rows] == ["optimal", "myopic"] * 2
+        for row in rows:
+            if row["strategy"] == "optimal":
+                assert row["error"].startswith("ConvergenceError:")
+                assert row["throughput_bps"] == ""
+            else:
+                assert row["error"] == "" and row["throughput_bps"] != ""
+
     def test_threshold_peak_near_optimal(self, runner, onoff_cfg_path, tmp_path):
         # on/off law: any threshold in (0, r_bar] behaves identically, while
         # threshold 0 accepts zero-rate relays; the peak row must not be at 0
@@ -318,8 +336,9 @@ class TestFigureCommand:
     (["figure", "{cfg}", "--figure-id", "strategy_vs_p", "--out", "{out}",
       "--workers", "0"], "--workers"),
     (["sweep", "{cfg}", "{cfg}", "--out", "{out}", "--workers", "-2"], "--workers"),
+    (["sweep", "{cfg}", "{cfg}", "--out", "{out}", "--periods", "10"], "--periods"),
 ], ids=["figure-periods", "figure-seed", "solve-samples", "solve-seed", "sweep-seed",
-        "figure-workers", "sweep-workers"])
+        "figure-workers", "sweep-workers", "sweep-periods"])
 def test_integer_options_range_checked(runner, geo_cfg_path, tmp_path, args, option):
     out = str(tmp_path / "o.csv")
     res = runner.invoke(main, [a.format(cfg=geo_cfg_path, out=out) for a in args])

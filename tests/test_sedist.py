@@ -81,13 +81,8 @@ class TestExpectedExcess:
 
 class TestConstruction:
     def test_sorting_and_bounds(self):
-        d = EmpiricalSe([2.0, 0.5, 1.5], r_bar=4.0)
+        d = EmpiricalSe([2.0, 0.5, 1.5])
         assert list(d.samples) == [0.5, 1.5, 2.0]
-        assert d.support_max == 4.0
-
-    def test_samples_above_cap_rejected(self):
-        with pytest.raises(ValueError):
-            EmpiricalSe([0.5, 3.0], r_bar=2.0)
 
     def test_negative_samples_rejected(self):
         with pytest.raises(ValueError):

@@ -2,16 +2,36 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-import relayprobe as rp
+from relayprobe import solver
 from relayprobe.sedist import EmpiricalSe
 from relayprobe.solver import (ConvergenceError, DegenerateDistributionError,
-                               InfeasibleError, StoppingSolution,
-                               bisect_mu_star, closed_form_onoff,
-                               fixed_point_residual, genie_ratio_onoff,
-                               ordinary_value, solve_mu_star, solve_rho)
+                               closed_form_onoff, genie_ratio_onoff,
+                               solve_mu_star)
+from solver_oracles import (InfeasibleError, bisect_mu_star, ordinary_value,
+                            solve_rho)
 
 ONOFF = EmpiricalSe([2.0], p_avail=0.5)
+
+
+@st.composite
+def rate_laws(draw):
+    """A random rate law and its p: a few atoms, or a small or a large
+    clear-link sample."""
+    p = draw(st.floats(0.05, 1.0))
+    kind = draw(st.sampled_from(["atoms", "small", "large"]))
+    if kind == "atoms":
+        values = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 8.0]),
+                               min_size=1, max_size=8))
+    elif kind == "small":
+        values = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+                               min_size=1, max_size=30))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        values = rng.gamma(2.0, 1.0, draw(st.integers(10 ** 3, 10 ** 5)))
+    assume(max(values) > 0.0)
+    return EmpiricalSe(values, p_avail=p), p
 
 
 def naive_fixed_point_trace(dist, W, T, tau, p, mu_init=0.0, n_iter=20):
@@ -110,9 +130,31 @@ class TestSolveMuStar:
             assert b.iterates == ()
             assert b.mu_star == pytest.approx(a.mu_star, rel=1e-9)
 
+    @given(law=rate_laws(), tau=st.floats(1e-4, 1.0), T=st.floats(0.01, 10.0),
+           W=st.floats(1.0, 1e9))
+    @settings(max_examples=150, deadline=None)
+    def test_newton_property(self, law, tau, T, W):
+        # Newton equals bisection, rises from its second iterate, and zeroes
+        # the ordinary value
+        dist, p = law
+        sol = solve_mu_star(dist, W, T, tau, p)
+        assert sol.mu_star == pytest.approx(
+            bisect_mu_star(dist, W, T, tau, p).mu_star, rel=1e-9)
+        trace = sol.iterates
+        assert all(a <= b for a, b in zip(trace[1:], trace[2:]))
+        v = ordinary_value(dist, sol.mu_star, W, T, tau, p)
+        assert abs(v) <= 1e-8 * W * T * dist.samples[-1]
+
     def test_zero_mean_distribution_rejected(self):
         with pytest.raises(DegenerateDistributionError):
-            solve_mu_star(EmpiricalSe([0.0, 0.0], r_bar=1.0), 1.0, 1.0, 0.01, 0.5)
+            solve_mu_star(EmpiricalSe([0.0, 0.0]), 1.0, 1.0, 0.01, 0.5)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        # one step from 0 cannot also show convergence
+        monkeypatch.setattr(solver, "MAX_ITER", 1)
+        with pytest.raises(ConvergenceError) as info:
+            solve_mu_star(ONOFF, 1.0, 1.0, 0.01, 0.5)
+        assert info.value.last_mu == pytest.approx(0.5 / 1.015, rel=1e-12)
 
     def test_invalid_p_rejected(self):
         with pytest.raises(ValueError):
