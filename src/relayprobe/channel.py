@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -85,14 +86,7 @@ class ScenarioConfig:
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["source_pos"] = list(self.source_pos)
-        d["dest_pos"] = list(self.dest_pos)
-        d["relay_region"] = {
-            "center": list(self.relay_region.center),
-            "radius": self.relay_region.radius,
-        }
-        return d
+        return asdict(self)
 
     def to_json(self, path) -> None:
         with open(path, "w") as f:
@@ -122,7 +116,7 @@ class ScenarioConfig:
         with open(path) as f:
             try:
                 d = json.load(f)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # bad JSON or bytes that are not text
                 raise ConfigError(f"invalid JSON in {path}: {exc}") from None
         if not isinstance(d, dict):
             raise ConfigError("config JSON must be an object")
@@ -130,8 +124,9 @@ class ScenarioConfig:
 
 
 def _number(value, name: str):
+    # exact for ints: one past float range fails here, not overflows
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
+            or not abs(value) <= sys.float_info.max):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
     return value
 
@@ -173,8 +168,7 @@ def pathloss_db(distance, cfg: ScenarioConfig):
     d = np.asarray(distance, dtype=float)
     if np.any(d <= 0):
         raise ValueError("distance must be positive")
-    out = cfg.pathloss_a + cfg.pathloss_b * np.log10(d / 1000.0)
-    return float(out) if np.isscalar(distance) else out
+    return cfg.pathloss_a + cfg.pathloss_b * np.log10(d / 1000.0)
 
 
 def noise_power_dbm(cfg: ScenarioConfig) -> float:
@@ -206,8 +200,7 @@ def two_hop_se(snr1, snr2, cfg: ScenarioConfig):
     if np.any(s1 < 0) or np.any(s2 < 0):
         raise ValueError("SNR must be nonnegative")
     se = 0.5 * np.log2(1.0 + 2.0 * np.minimum(s1, s2))
-    se = np.minimum(se, cfg.se_cap)
-    return float(se) if np.ndim(se) == 0 else se
+    return np.minimum(se, cfg.se_cap)
 
 
 def _disk_points(u_radius, u_angle, region: RelayRegion):

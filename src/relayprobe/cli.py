@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import sys
 from dataclasses import dataclass, replace
 
@@ -42,8 +41,8 @@ class SweepSpec:
             raise ValueError("grid must be strictly increasing")
         if len(self.strategies) == 0:
             raise ValueError("strategies must be nonempty")
-        if self.n_periods < 30:
-            raise ValueError("n_periods must be >= 30")
+        if self.n_periods < simulator.N_BATCHES:
+            raise ValueError(f"n_periods must be >= {simulator.N_BATCHES}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -53,15 +52,15 @@ class SweepSpec:
             d = json.load(f)
         if not isinstance(d, dict):
             raise ValueError("sweep spec must be a JSON object")
-        known = {"variable", "grid", "strategies", "n_periods", "seed"}
-        unknown = set(d) - known
+        unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown sweep keys: {sorted(unknown)}")
         grid, strategies = d["grid"], d["strategies"]
         n_periods, seed = d["n_periods"], d.get("seed", 0)
+        # exact for ints: one past float range fails here, not overflows
         if not isinstance(grid, list) or not all(
                 isinstance(v, (int, float)) and not isinstance(v, bool)
-                and math.isfinite(v) for v in grid):
+                and abs(v) <= sys.float_info.max for v in grid):
             raise ValueError(f"grid must be a list of finite numbers, got {grid!r}")
         if not isinstance(strategies, list) or not all(
                 isinstance(v, str) for v in strategies):
@@ -161,7 +160,8 @@ def main():
 
 @main.command()
 @click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--samples", default=10 ** 6, show_default=True, type=click.IntRange(min=1),
+@click.option("--samples", default=simulator.LAW_SAMPLES, show_default=True,
+              type=click.IntRange(min=1),
               help="Clear-link draws for a geometric config's rate law.")
 @click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
@@ -194,7 +194,7 @@ def solve(config_path, samples, seed, out_path):
 @click.option("--workers", default=1, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", default=None, type=click.IntRange(min=0),
               help="Override the spec's seed.")
-@click.option("--periods", default=None, type=click.IntRange(min=30),
+@click.option("--periods", default=None, type=click.IntRange(min=simulator.N_BATCHES),
               help="Override the spec's n_periods.")
 def sweep(config_path, sweep_spec_path, out_csv, workers, seed, periods):
     """Run the sweep described by SWEEP_SPEC_PATH and write a CSV."""
@@ -217,7 +217,8 @@ def sweep(config_path, sweep_spec_path, out_csv, workers, seed, periods):
               required=True)
 @click.option("--out", "out_csv", type=click.Path(dir_okay=False), required=True)
 @click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
-@click.option("--periods", default=10 ** 5, show_default=True, type=click.IntRange(min=30))
+@click.option("--periods", default=10 ** 5, show_default=True,
+              type=click.IntRange(min=simulator.N_BATCHES))
 @click.option("--workers", default=1, show_default=True, type=click.IntRange(min=1))
 def figure(config_path, figure_id, out_csv, seed, periods, workers):
     """Run a canonical figure sweep and emit plot-ready CSV.
@@ -227,21 +228,17 @@ def figure(config_path, figure_id, out_csv, seed, periods, workers):
     strategy_vs_p: optimal/myopic/fixed-beta throughput over p = 0.1..1.0.
     """
     cfg = _load_config(config_path)
-    rows = 0
     if figure_id == "strategy_vs_p":
-        spec = SweepSpec("p_avail", STRATEGY_VS_P_GRID,
-                         STRATEGY_VS_P_STRATEGIES, periods, seed)
-        rows = run_sweep(cfg, spec, out_csv, workers)
+        series = [(cfg, SweepSpec("p_avail", STRATEGY_VS_P_GRID,
+                                  STRATEGY_VS_P_STRATEGIES, periods, seed))]
     else:
+        # one series per probing overhead, in a single CSV
         grid = tuple(np.linspace(0.2, 1.0, 21) * cfg.se_cap)
         spec = SweepSpec("threshold", grid, ("threshold",), periods, seed)
-        # two series, one per probing overhead, in a single CSV
-        all_rows = []
-        for tau in THRESHOLD_SWEEP_TAUS:
-            all_rows.extend(sweep_rows(replace(cfg, tau=tau), spec, workers))
-        write_sweep_csv(out_csv, all_rows)
-        rows = len(all_rows)
-    click.echo(f"wrote {rows} rows to {out_csv}")
+        series = [(replace(cfg, tau=tau), spec) for tau in THRESHOLD_SWEEP_TAUS]
+    rows = [row for cfg_s, spec in series for row in sweep_rows(cfg_s, spec, workers)]
+    write_sweep_csv(out_csv, rows)
+    click.echo(f"wrote {len(rows)} rows to {out_csv}")
 
 
 if __name__ == "__main__":

@@ -18,20 +18,13 @@ from dataclasses import replace
 import numpy as np
 
 
-def _clear_prob(p_avail: float) -> float:
-    """P(both hops clear)."""
-    if not (0.0 < p_avail <= 1.0):
-        raise ValueError("p_avail must be in (0, 1]")
-    return float(p_avail) ** 2
-
-
 class EmpiricalSe:
     """Rate law backed by sorted clear-link samples with precomputed suffix
-    sums, so tail queries are O(log n). Each relay is dual-clear with
-    probability p_avail**2; otherwise its rate is 0."""
+    sums, so tail queries are O(log n). Every relay is clear until `at`
+    adds blockage."""
 
-    def __init__(self, samples, *, p_avail: float = 1.0):
-        self._clear = _clear_prob(p_avail)
+    def __init__(self, samples):
+        self._clear = 1.0
         s = np.sort(np.asarray(samples, dtype=float))
         if s.size < 1:
             raise ValueError("need at least one sample")
@@ -46,8 +39,10 @@ class EmpiricalSe:
     def at(self, p_avail: float) -> "EmpiricalSe":
         """The same clear-link law composed with blockage at p_avail. Shares
         the sorted samples and suffix sums instead of sorting again."""
+        if not (0.0 < p_avail <= 1.0):
+            raise ValueError("p_avail must be in (0, 1]")
         law = copy.copy(self)
-        law._clear = _clear_prob(p_avail)
+        law._clear = float(p_avail) ** 2  # P(both hops clear)
         return law
 
     def _first_at_or_above(self, rho: float) -> int:
@@ -72,8 +67,7 @@ class EmpiricalSe:
         return self.mean_above(0.0)
 
 
-def build_empirical(cfg, n_samples: int = 10 ** 6,
-                    rng: np.random.Generator | None = None) -> EmpiricalSe:
+def build_empirical(cfg, n_samples: int, rng: np.random.Generator) -> EmpiricalSe:
     """The two-hop rate law of a scenario.
 
     On/off links have the one clear rate se_cap, so their law is exact and
@@ -86,8 +80,6 @@ def build_empirical(cfg, n_samples: int = 10 ** 6,
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if cfg.channel_mode == "onoff":
-        return EmpiricalSe([cfg.se_cap], p_avail=cfg.p_avail)
-    if rng is None:
-        rng = np.random.default_rng()
+        return EmpiricalSe([cfg.se_cap]).at(cfg.p_avail)
     _, _, se = channel.sample_two_hop_se_batch(rng, replace(cfg, p_avail=1.0), n_samples)
-    return EmpiricalSe(se, p_avail=cfg.p_avail)
+    return EmpiricalSe(se).at(cfg.p_avail)

@@ -30,6 +30,8 @@ BLOCK_PROBES = 1 << 14
 # one substream id reserved for drawing the clear-link rate law that an
 # OptimalThreshold policy is resolved on
 _DIST_STREAM_ID = 2 ** 31
+# clear-link draws in the rate law an OptimalThreshold policy is solved on
+LAW_SAMPLES = 10 ** 6
 # a period that probes more relays than this ends in RunawayPeriodError
 MAX_PROBES = 10 ** 6
 # batch-means error bars split the periods into this many batches
@@ -45,7 +47,7 @@ class RunawayPeriodError(RuntimeError):
 @dataclass(frozen=True)
 class OptimalThreshold:
     """Stop at the first relay whose rate reaches the solver's mu*/W, solved
-    by `optimal_solution` on 10**6 clear-link draws."""
+    by `optimal_solution` on LAW_SAMPLES clear-link draws."""
 
 
 @dataclass(frozen=True)
@@ -91,7 +93,7 @@ def _clear_law(clear_cfg: ScenarioConfig, seed: int,
 
 
 def optimal_solution(cfg: ScenarioConfig, seed: int = 0,
-                     n_samples: int = 10 ** 6) -> _solver.StoppingSolution:
+                     n_samples: int = LAW_SAMPLES) -> _solver.StoppingSolution:
     """Solve the fixed point on the config's own rate law
     (`sedist.build_empirical`, drawn deterministically from `seed`). The last
     clear-link law built is reused, so a p_avail or tau sweep draws it once."""
@@ -193,26 +195,23 @@ def simulate_periods(policy: StoppingPolicy, cfg: ScenarioConfig, n_periods: int
     policy = resolve_policy(policy, cfg, seed)
     n_chunks = (n_periods + CHUNK_PERIODS - 1) // CHUNK_PERIODS
     sizes = [min(CHUNK_PERIODS, n_periods - i * CHUNK_PERIODS) for i in range(n_chunks)]
-    args = [(policy, cfg, seed, i, sizes[i]) for i in range(n_chunks)]
+    args = ([policy] * n_chunks, [cfg] * n_chunks, [seed] * n_chunks,
+            range(n_chunks), sizes)
     if workers > 1 and n_chunks > 1:
         # a forked worker would otherwise pay numpy's first-Generator setup
         np.random.default_rng(0)
         # fork starts every worker at the first submit, so never more than
         # there are chunks
         with ProcessPoolExecutor(max_workers=min(workers, n_chunks)) as pool:
-            chunks = list(pool.map(_simulate_chunk_star, args))
+            chunks = list(pool.map(_simulate_chunk, *args))
     else:
-        chunks = [_simulate_chunk(*a) for a in args]
+        chunks = list(map(_simulate_chunk, *args))
     return PeriodArrays(
         np.concatenate([c.n_probed for c in chunks]),
         np.concatenate([c.period_time for c in chunks]),
         np.concatenate([c.bits for c in chunks]),
         np.concatenate([c.selected_se for c in chunks]),
     )
-
-
-def _simulate_chunk_star(args):
-    return _simulate_chunk(*args)
 
 
 # -- throughput estimation -------------------------------------------------
@@ -222,8 +221,6 @@ class ThroughputEstimate:
     throughput_bps: float
     stderr_bps: float
     n_periods: int
-    total_bits: float
-    total_time: float
 
 
 def batch_means_stderr(bits: np.ndarray, time: np.ndarray) -> float:
@@ -245,14 +242,10 @@ def estimate_throughput(policy: StoppingPolicy, cfg: ScenarioConfig,
     arrays = simulate_periods(policy, cfg, n_periods, seed, workers)
     if trace_path is not None:
         write_trace_csv(trace_path, arrays)
-    total_bits = float(arrays.bits.sum())
-    total_time = float(arrays.period_time.sum())
     return ThroughputEstimate(
-        throughput_bps=total_bits / total_time,
+        throughput_bps=float(arrays.bits.sum() / arrays.period_time.sum()),
         stderr_bps=batch_means_stderr(arrays.bits, arrays.period_time),
         n_periods=n_periods,
-        total_bits=total_bits,
-        total_time=total_time,
     )
 
 

@@ -101,7 +101,7 @@ def closed_form_onoff(p: float, r_bar: float, W: float, T: float,
     if not (0.0 < p <= 1.0):
         raise ValueError("p must be in (0, 1]")
     mu = W * T * p * p * r_bar / ((1.0 + p) * tau + p * p * T)
-    dist = EmpiricalSe([r_bar], p_avail=p)
+    dist = EmpiricalSe([r_bar]).at(p)
     res = fixed_point_residual(dist, mu, W, T, tau, p)
     return StoppingSolution(mu, mu / W, 0, res, "closed_form")
 

@@ -73,7 +73,7 @@ def test_criterion_1_closed_form_oracle():
                 emp = EmpiricalSe(base * r_bar)
                 for tau in (0.01, 0.05):
                     cf = closed_form_onoff(p, r_bar, 1.0, 1.0, tau)
-                    ana = solve_mu_star(EmpiricalSe([r_bar], p_avail=p), 1.0, 1.0, tau, p)
+                    ana = solve_mu_star(EmpiricalSe([r_bar]).at(p), 1.0, 1.0, tau, p)
                     assert ana.mu_star == pytest.approx(cf.mu_star, rel=1e-9)
                     sol = solve_mu_star(emp, 1.0, 1.0, tau, p)
                     # delta method: mu is a smooth function of the dual-clear
@@ -105,7 +105,7 @@ def test_criterion_2_simulation_matches_theory():
 def test_criterion_3_value_function_vanishes_at_optimum():
     with _Gate(3, "ordinary value is zero at the maximum throughput"):
         rng = np.random.default_rng(30)
-        dists = [EmpiricalSe([2.0], p_avail=0.5), EmpiricalSe([4.0], p_avail=0.9),
+        dists = [EmpiricalSe([2.0]).at(0.5), EmpiricalSe([4.0]).at(0.9),
                  EmpiricalSe(rng.random(2 * 10 ** 5) * 2.0)]
         for dist in dists:
             sol = solve_mu_star(dist, 1.0, 1.0, 0.01, 0.5)
@@ -313,7 +313,7 @@ def test_criterion_5_myopic_near_optimal_at_heavy_blockage(strategy_table):
 def test_criterion_6_solver_convergence():
     with _Gate(6, "Newton-ratio converges within 30 iterations"):
         rng = np.random.default_rng(60)
-        dists = [EmpiricalSe([r], p_avail=p) for p in P_GRID for r in (1.0, 4.0)]
+        dists = [EmpiricalSe([r]).at(p) for p in P_GRID for r in (1.0, 4.0)]
         dists += [EmpiricalSe(rng.random(10 ** 5) * 2.0),
                   EmpiricalSe(rng.beta(2.0, 5.0, 10 ** 5) * 8.0),
                   EmpiricalSe(np.sort(rng.random(10 ** 5) < 0.25) * 2.0)]
@@ -368,7 +368,7 @@ def test_criterion_7_recall_free_equivalence():
 def test_criterion_8_functional_identities():
     with _Gate(8, "tail functional identities hold exactly"):
         rng = np.random.default_rng(80)
-        onoff = EmpiricalSe([2.0], p_avail=0.5)
+        onoff = EmpiricalSe([2.0]).at(0.5)
         emp = EmpiricalSe(rng.random(5000) * 2.0)
         for rho in np.linspace(0.0, 2.5, 100):
             rho = float(rho)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,6 +164,20 @@ class TestRelaySampling:
         assert abs(cov) < 4 * p * (1 - p) / math.sqrt(n)
         law = build_empirical(cfg, 10 ** 5, np.random.default_rng(7))
         assert stats.ks_2samp(se[both], law.samples).pvalue > 1e-3
+
+    def test_all_clear_draw_needs_no_index(self):
+        # when every relay is clear the rates are written without a scatter
+        # index: 50 bytes per relay at the peak, 58 with an int64 index
+        cfg = rp.default_scenario(p_avail=1.0)
+        n = 2 * 10 ** 5
+        sample_two_hop_se_batch(np.random.default_rng(0), cfg, 1000)
+        tracemalloc.start()
+        try:
+            sample_two_hop_se_batch(np.random.default_rng(0), cfg, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 54 * n
 
     def test_first_hop_blockage_fraction(self):
         cfg = rp.default_scenario(p_avail=0.5)

@@ -226,6 +226,9 @@ class TestSweepCommand:
         '{"variable": "p_avail", "grid": [0.5], "strategies": [5], "n_periods": 100}',
         '{"variable": "p_avail", "grid": [0.5], "strategies": ["myopic"], "n_periods": null}',
         '{"variable": "p_avail", "grid": [0.5], "strategies": ["myopic"], "n_periods": 100, "seed": 1.5}',
+        # an int too large for a float
+        '{"variable": "p_avail", "grid": [0.5, 1%s], "strategies": ["myopic"], "n_periods": 100}'
+        % ("0" * 400),
     ])
     def test_malformed_spec_reported(self, runner, onoff_cfg_path, tmp_path, spec_text):
         spec = tmp_path / "spec.json"
@@ -347,6 +350,33 @@ def test_integer_options_range_checked(runner, geo_cfg_path, tmp_path, args, opt
     assert res.exc_info[0] is SystemExit and "Traceback" not in res.output
 
 
+def test_huge_config_integer_reported(runner, tmp_path):
+    # json reads this as an int too large for a float
+    cfg = rp.default_scenario().to_dict()
+    cfg["tau"] = 10 ** 400
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    res = runner.invoke(main, ["solve", str(path)])
+    assert res.exit_code != 0
+    assert "bad config" in res.output and "tau must be a finite number" in res.output
+    assert res.exc_info[0] is SystemExit and "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", "{cfg}"],
+    ["sweep", "{cfg}", "{cfg}", "--out", "{out}"],
+    ["figure", "{cfg}", "--figure-id", "strategy_vs_p", "--out", "{out}"],
+], ids=["solve", "sweep", "figure"])
+def test_non_utf8_config_reported(runner, tmp_path, args):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b'{"tau": "\xff"}')
+    out = str(tmp_path / "o.csv")
+    res = runner.invoke(main, [a.format(cfg=path, out=out) for a in args])
+    assert res.exit_code != 0
+    assert "bad config" in res.output
+    assert res.exc_info[0] is SystemExit and "Traceback" not in res.output
+
+
 def readme_cli_lines():
     blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
     return [line.strip() for block in blocks for line in block.splitlines()
@@ -359,6 +389,14 @@ def test_readme_cli_examples_parse(runner, line):
     # examples without running them
     res = runner.invoke(main, shlex.split(line)[1:] + ["--help"])
     assert res.exit_code == 0, res.output
+
+
+def test_readme_python_examples_run():
+    # an API the README uses but the package dropped fails here
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert blocks
+    for code in blocks:
+        exec(compile(code, str(README), "exec"), {})
 
 
 class TestRunSweepDeterminism:

@@ -7,7 +7,7 @@ from relayprobe.sedist import EmpiricalSe, build_empirical
 
 @pytest.fixture
 def onoff():
-    return EmpiricalSe([2.0], p_avail=0.5)
+    return EmpiricalSe([2.0]).at(0.5)
 
 
 @pytest.fixture
@@ -94,9 +94,9 @@ class TestConstruction:
 
     def test_onoff_validation(self):
         with pytest.raises(ValueError):
-            EmpiricalSe([2.0], p_avail=0.0)
+            EmpiricalSe([2.0]).at(0.0)
         with pytest.raises(ValueError):
-            EmpiricalSe([2.0], p_avail=1.5)
+            EmpiricalSe([2.0]).at(1.5)
 
 
 class TestBuildEmpirical:

@@ -12,7 +12,7 @@ from relayprobe.solver import (ConvergenceError, DegenerateDistributionError,
 from solver_oracles import (InfeasibleError, bisect_mu_star, ordinary_value,
                             solve_rho)
 
-ONOFF = EmpiricalSe([2.0], p_avail=0.5)
+ONOFF = EmpiricalSe([2.0]).at(0.5)
 
 
 @st.composite
@@ -31,7 +31,7 @@ def rate_laws(draw):
         rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
         values = rng.gamma(2.0, 1.0, draw(st.integers(10 ** 3, 10 ** 5)))
     assume(max(values) > 0.0)
-    return EmpiricalSe(values, p_avail=p), p
+    return EmpiricalSe(values).at(p), p
 
 
 def naive_fixed_point_trace(dist, W, T, tau, p, mu_init=0.0, n_iter=20):
@@ -119,7 +119,7 @@ class TestSolveMuStar:
 
     def test_residual_is_small(self):
         for p in (0.1, 0.5, 0.9):
-            sol = solve_mu_star(EmpiricalSe([4.0], p_avail=p), 1.0, 1.0, 0.05, p)
+            sol = solve_mu_star(EmpiricalSe([4.0]).at(p), 1.0, 1.0, 0.05, p)
             assert abs(sol.residual) <= 1e-8 * 4.0
 
     def test_bisection_agrees(self):
