@@ -29,7 +29,10 @@ class RelayRegion:
 
     def __post_init__(self):
         # configs stay hashable, so the simulator can key a memo on them
-        object.__setattr__(self, "center", tuple(self.center))
+        object.__setattr__(self, "center", _point(self.center, "relay_region center"))
+        object.__setattr__(self, "radius", float(_number(self.radius, "relay_region radius")))
+        if self.radius <= 0:
+            raise ConfigError("relay_region radius must be positive")
 
 
 @dataclass(frozen=True)
@@ -64,8 +67,13 @@ class ScenarioConfig:
     channel_mode: str = "geometric"
 
     def __post_init__(self):
-        for name in ("source_pos", "dest_pos"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+        for name in self.__dataclass_fields__:
+            if name in ("source_pos", "dest_pos"):
+                object.__setattr__(self, name, _point(getattr(self, name), name))
+            elif name not in ("relay_region", "channel_mode"):
+                _number(getattr(self, name), name)
+        if not isinstance(self.relay_region, RelayRegion):
+            raise ConfigError(f"relay_region must be a RelayRegion, got {self.relay_region!r}")
         if not (0.0 < self.p_avail <= 1.0):
             raise ConfigError(f"p_avail must be in (0, 1], got {self.p_avail}")
         if self.tau <= 0 or self.T_data <= 0:
@@ -78,8 +86,6 @@ class ScenarioConfig:
             raise ConfigError("shadow_sigma must be nonnegative")
         if self.source_pos == self.dest_pos:
             raise ConfigError("source_pos and dest_pos must differ")
-        if self.relay_region.radius <= 0:
-            raise ConfigError("relay_region radius must be positive")
         if self.channel_mode not in ("geometric", "onoff"):
             raise ConfigError(f"unknown channel_mode {self.channel_mode!r}")
 
@@ -102,10 +108,7 @@ class ScenarioConfig:
         region = d.get("relay_region")
         if not isinstance(region, dict) or set(region) != {"center", "radius"}:
             raise ConfigError("relay_region must be {'center': [x, y], 'radius': r}")
-        d["relay_region"] = RelayRegion(_point(region["center"], "relay_region center"),
-                                        float(_number(region["radius"], "relay_region radius")))
-        for key in sorted(set(d) - {"relay_region", "channel_mode"}):
-            d[key] = (_point if key in ("source_pos", "dest_pos") else _number)(d[key], key)
+        d["relay_region"] = RelayRegion(**region)
         try:
             return cls(**d)
         except TypeError as exc:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import sys
 from dataclasses import dataclass, replace
 
@@ -12,7 +13,7 @@ import click
 import numpy as np
 
 from . import simulator, solver
-from .channel import ConfigError, ScenarioConfig
+from .channel import ScenarioConfig
 from .simulator import (MYOPIC, ExplicitThreshold, FixedBeta,
                         OptimalThreshold, RunawayPeriodError)
 
@@ -35,6 +36,20 @@ class SweepSpec:
     def __post_init__(self):
         if self.variable not in ("threshold", "p_avail", "tau"):
             raise ValueError(f"unknown sweep variable {self.variable!r}")
+        # exact for ints: one past float range fails here, not overflows
+        if not isinstance(self.grid, (list, tuple)) or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool)
+                and abs(v) <= sys.float_info.max for v in self.grid):
+            raise ValueError(f"grid must be a list of finite numbers, got {self.grid!r}")
+        object.__setattr__(self, "grid", tuple(float(v) for v in self.grid))
+        if not isinstance(self.strategies, (list, tuple)) or not all(
+                isinstance(v, str) for v in self.strategies):
+            raise ValueError(f"strategies must be a list of strings, got {self.strategies!r}")
+        object.__setattr__(self, "strategies", tuple(self.strategies))
+        for key in ("n_periods", "seed"):
+            v = getattr(self, key)
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValueError(f"{key} must be an integer, got {v!r}")
         if len(self.grid) == 0:
             raise ValueError("grid must be nonempty")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
@@ -55,26 +70,7 @@ class SweepSpec:
         unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown sweep keys: {sorted(unknown)}")
-        grid, strategies = d["grid"], d["strategies"]
-        n_periods, seed = d["n_periods"], d.get("seed", 0)
-        # exact for ints: one past float range fails here, not overflows
-        if not isinstance(grid, list) or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool)
-                and abs(v) <= sys.float_info.max for v in grid):
-            raise ValueError(f"grid must be a list of finite numbers, got {grid!r}")
-        if not isinstance(strategies, list) or not all(
-                isinstance(v, str) for v in strategies):
-            raise ValueError(f"strategies must be a list of strings, got {strategies!r}")
-        for key, v in (("n_periods", n_periods), ("seed", seed)):
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ValueError(f"{key} must be an integer, got {v!r}")
-        return cls(
-            variable=d["variable"],
-            grid=tuple(float(v) for v in grid),
-            strategies=tuple(strategies),
-            n_periods=n_periods,
-            seed=seed,
-        )
+        return cls(**{"seed": 0, **d})
 
 
 def parse_strategy(name: str, threshold_value: float | None = None):
@@ -124,7 +120,7 @@ def sweep_rows(cfg: ScenarioConfig, spec: SweepSpec, workers: int = 1) -> list[l
                     est_fields = [repr(est.throughput_bps), repr(est.stderr_bps)]
             except (RunawayPeriodError, solver.ConvergenceError, ValueError) as exc:
                 err = f"{type(exc).__name__}: {exc}"
-            rows.append([spec.variable, repr(float(value)), strategy,
+            rows.append([spec.variable, repr(value), strategy,
                          repr(point.get("p_avail", cfg.p_avail)),
                          repr(point.get("tau", cfg.tau)),
                          repr(cfg.T_data), repr(cfg.bandwidth_W),
@@ -146,11 +142,25 @@ def run_sweep(cfg: ScenarioConfig, spec: SweepSpec, out_csv, workers: int = 1) -
     return len(rows)
 
 
-def _load_config(path) -> ScenarioConfig:
+def _load(load, path, what: str):
     try:
-        return ScenarioConfig.from_json(path)
-    except (ConfigError, OSError) as exc:
-        raise click.ClickException(f"bad config {path}: {exc}")
+        return load(path)
+    except (ValueError, TypeError, OSError) as exc:  # TypeError: a spec key is missing
+        raise click.ClickException(f"bad {what} {path}: {exc}")
+
+
+def _out_dir_exists(ctx, param, path):
+    """--out callback: a missing directory fails before the work, not after."""
+    if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+        raise click.BadParameter(f"cannot write {path}: no such directory")
+    return path
+
+
+def _write(write, path, *args) -> None:
+    try:
+        write(path, *args)
+    except OSError as exc:
+        raise click.ClickException(f"cannot write {path}: {exc}")
 
 
 @click.group()
@@ -165,12 +175,12 @@ def main():
               help="Clear-link draws for a geometric config's rate law.")
 @click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
-              help="Write the solution JSON here.")
+              callback=_out_dir_exists, help="Write the solution JSON here.")
 def solve(config_path, samples, seed, out_path):
     """Compute the maximum throughput and stopping threshold for CONFIG_PATH
     on the config's own rate law: exact for on/off links, Monte Carlo
     clear-link draws for geometric ones."""
-    cfg = _load_config(config_path)
+    cfg = _load(ScenarioConfig.from_json, config_path, "config")
     try:
         sol = simulator.optimal_solution(cfg, seed, samples)
     except (solver.DegenerateDistributionError, solver.ConvergenceError) as exc:
@@ -184,13 +194,14 @@ def solve(config_path, samples, seed, out_path):
         ratio = solver.genie_ratio_onoff(cfg.p_avail, cfg.tau, cfg.T_data)
         click.echo(f"genie_ratio: {ratio:.6g}")
     if out_path:
-        sol.to_json(out_path)
+        _write(sol.to_json, out_path)
 
 
 @main.command()
 @click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
 @click.argument("sweep_spec_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", "out_csv", type=click.Path(dir_okay=False), required=True)
+@click.option("--out", "out_csv", type=click.Path(dir_okay=False), required=True,
+              callback=_out_dir_exists)
 @click.option("--workers", default=1, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", default=None, type=click.IntRange(min=0),
               help="Override the spec's seed.")
@@ -198,24 +209,23 @@ def solve(config_path, samples, seed, out_path):
               help="Override the spec's n_periods.")
 def sweep(config_path, sweep_spec_path, out_csv, workers, seed, periods):
     """Run the sweep described by SWEEP_SPEC_PATH and write a CSV."""
-    cfg = _load_config(config_path)
-    try:
-        spec = SweepSpec.from_json(sweep_spec_path)
-        if seed is not None:
-            spec = replace(spec, seed=seed)
-        if periods is not None:
-            spec = replace(spec, n_periods=periods)
-    except (ValueError, KeyError, OSError) as exc:
-        raise click.ClickException(f"bad sweep spec {sweep_spec_path}: {exc}")
-    rows = run_sweep(cfg, spec, out_csv, workers)
-    click.echo(f"wrote {rows} rows to {out_csv}")
+    cfg = _load(ScenarioConfig.from_json, config_path, "config")
+    spec = _load(SweepSpec.from_json, sweep_spec_path, "sweep spec")
+    if seed is not None:
+        spec = replace(spec, seed=seed)
+    if periods is not None:
+        spec = replace(spec, n_periods=periods)
+    rows = sweep_rows(cfg, spec, workers)
+    _write(write_sweep_csv, out_csv, rows)
+    click.echo(f"wrote {len(rows)} rows to {out_csv}")
 
 
 @main.command()
 @click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--figure-id", type=click.Choice(["threshold_sweep", "strategy_vs_p"]),
               required=True)
-@click.option("--out", "out_csv", type=click.Path(dir_okay=False), required=True)
+@click.option("--out", "out_csv", type=click.Path(dir_okay=False), required=True,
+              callback=_out_dir_exists)
 @click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--periods", default=10 ** 5, show_default=True,
               type=click.IntRange(min=simulator.N_BATCHES))
@@ -227,7 +237,7 @@ def figure(config_path, figure_id, out_csv, seed, periods, workers):
     [0.2, 1.0]*se_cap) for probing overheads 10 ms and 50 ms.
     strategy_vs_p: optimal/myopic/fixed-beta throughput over p = 0.1..1.0.
     """
-    cfg = _load_config(config_path)
+    cfg = _load(ScenarioConfig.from_json, config_path, "config")
     if figure_id == "strategy_vs_p":
         series = [(cfg, SweepSpec("p_avail", STRATEGY_VS_P_GRID,
                                   STRATEGY_VS_P_STRATEGIES, periods, seed))]
@@ -237,7 +247,7 @@ def figure(config_path, figure_id, out_csv, seed, periods, workers):
         spec = SweepSpec("threshold", grid, ("threshold",), periods, seed)
         series = [(replace(cfg, tau=tau), spec) for tau in THRESHOLD_SWEEP_TAUS]
     rows = [row for cfg_s, spec in series for row in sweep_rows(cfg_s, spec, workers)]
-    write_sweep_csv(out_csv, rows)
+    _write(write_sweep_csv, out_csv, rows)
     click.echo(f"wrote {len(rows)} rows to {out_csv}")
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -249,12 +250,20 @@ class TestScenarioConfig:
         ("relay_region", {"center": [0.0, 0.0], "radius": float("nan")}, "radius"),
         ("tx_power_bs", "abc", "tx_power_bs"),
         ("tau", float("inf"), "tau"),
+        ("tau", float("nan"), "tau"),
+        ("shadow_sigma", float("nan"), "shadow_sigma"),
+        ("se_cap", float("inf"), "se_cap"),
+        ("p_avail", True, "p_avail"),
+        ("tau", "0.01", "tau"),
     ])
     def test_malformed_values_rejected(self, cfg, key, value, match):
+        # the JSON loader and the Python API take one validation path
         d = cfg.to_dict()
         d[key] = value
         with pytest.raises(ConfigError, match=match):
             ScenarioConfig.from_dict(d)
+        with pytest.raises(ConfigError, match=match):
+            replace(cfg, **{key: RelayRegion(**value) if key == "relay_region" else value})
 
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -267,16 +276,13 @@ class TestScenarioConfig:
         ("bandwidth_W", 0.0), ("se_cap", 0.0), ("channel_mode", "nonsense"),
     ])
     def test_invariant_violations(self, cfg, field, value):
-        from dataclasses import replace
         with pytest.raises(ConfigError):
             replace(cfg, **{field: value})
 
     def test_identical_endpoints_rejected(self, cfg):
-        from dataclasses import replace
         with pytest.raises(ConfigError):
             replace(cfg, dest_pos=cfg.source_pos)
 
     def test_zero_radius_rejected(self, cfg):
-        from dataclasses import replace
         with pytest.raises(ConfigError):
             replace(cfg, relay_region=RelayRegion((0.0, 0.0), 0.0))

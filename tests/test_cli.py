@@ -78,6 +78,10 @@ class TestSweepSpec:
         {"strategies": []},
         {"n_periods": 10},
         {"seed": -1},
+        {"grid": (float("nan"),)},
+        {"n_periods": 100.0},
+        {"strategies": "myopic"},
+        {"seed": True},
     ])
     def test_validation(self, patch):
         base = dict(variable="p_avail", grid=(0.3, 0.6), strategies=("myopic",),
@@ -359,6 +363,27 @@ def test_huge_config_integer_reported(runner, tmp_path):
     res = runner.invoke(main, ["solve", str(path)])
     assert res.exit_code != 0
     assert "bad config" in res.output and "tau must be a finite number" in res.output
+    assert res.exc_info[0] is SystemExit and "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("out", ["nodir/o.csv", "x" * 300 + ".csv"],
+                         ids=["missing-dir", "name-too-long"])
+@pytest.mark.parametrize("args", [
+    ["solve", "{cfg}", "--out", "{out}"],
+    ["sweep", "{cfg}", "{spec}", "--out", "{out}"],
+    ["figure", "{cfg}", "--figure-id", "strategy_vs_p", "--periods", "30", "--out", "{out}"],
+], ids=["solve", "sweep", "figure"])
+def test_unwritable_out_reported(runner, onoff_cfg_path, tmp_path, args, out):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"variable": "p_avail", "grid": [0.5],
+                                "strategies": ["myopic"], "n_periods": 100}))
+    path = str(tmp_path / out)
+    res = runner.invoke(main, [a.format(cfg=onoff_cfg_path, spec=spec, out=path)
+                               for a in args])
+    # a missing directory is a usage error (exit 2), raised while the options
+    # are parsed, before any work; any other failed write comes after it
+    assert res.exit_code == (2 if out.startswith("nodir") else 1)
+    assert "cannot write" in res.output
     assert res.exc_info[0] is SystemExit and "Traceback" not in res.output
 
 

@@ -1,13 +1,14 @@
-"""Golden outputs: the exact bytes of each command on on/off links.
+"""Golden outputs: the exact bytes of each command.
 
-Every on/off rate is exactly 0 or se_cap, so these outputs depend only on
-the random stream, the engine's arithmetic and the writers; any change to
-one of them shows here as a byte difference. Geometric outputs are left
-out on purpose: their rates go through libm/SIMD `log2`, `power` and
-`hypot`, whose last bits may differ between numpy builds, and the Python
-3.10 CI leg installs a numpy older than 2.3.
+Every on/off rate is exactly 0 or se_cap, so the on/off outputs depend only
+on the random stream, the engine's arithmetic and the writers; any change to
+one of them shows here as a byte difference. Geometric rates also go through
+libm/SIMD `log2`, `power`, `hypot`, `cos` and `sin`, whose last bits may
+differ between numpy builds (the Python 3.10 CI leg installs a numpy older
+than 2.3). So the geometric files are compared only on the numpy version
+recorded with them in `golden/geo/numpy_version`, and skipped elsewhere.
 
-After a declared stream change, rewrite the golden files with
+After a declared stream change, rewrite every golden file with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -15,6 +16,8 @@ After a declared stream change, rewrite the golden files with
 import json
 from pathlib import Path
 
+import numpy as np
+import pytest
 from click.testing import CliRunner
 
 import relayprobe as rp
@@ -23,25 +26,44 @@ from relayprobe.simulator import OptimalThreshold, estimate_throughput
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 OUTPUTS = ("sweep.csv", "threshold_sweep.csv", "solve.json", "trace.csv")
+GEO_OUTPUTS = ("sweep.csv", "solve.json")
+NUMPY_VERSION = GOLDEN / "geo" / "numpy_version"
 # the README's p_avail sweep with every kind of row, at 2,000 periods
 SPEC = {"variable": "p_avail", "grid": [0.1, 0.3, 0.5, 0.7, 0.9],
         "strategies": ["optimal", "myopic", "genie", "fixed:5"],
         "n_periods": 2000, "seed": 3}
 
 
+def run(*commands) -> None:
+    for args in commands:
+        res = CliRunner().invoke(main, [str(a) for a in args])
+        assert res.exit_code == 0, res.output
+
+
+def write_inputs(cfg, work: Path) -> tuple[Path, Path]:
+    cfg_path, spec_path = work / f"{cfg.channel_mode}.json", work / "spec.json"
+    cfg.to_json(cfg_path)
+    spec_path.write_text(json.dumps(SPEC))
+    return cfg_path, spec_path
+
+
 def write_outputs(out: Path, work: Path) -> None:
     """Write every output in OUTPUTS into `out`, with inputs in `work`."""
     cfg = rp.default_scenario(p_avail=0.5, tau=0.01, channel_mode="onoff")
-    cfg_path, spec_path = work / "cfg.json", work / "spec.json"
-    cfg.to_json(cfg_path)
-    spec_path.write_text(json.dumps(SPEC))
-    for args in (["sweep", cfg_path, spec_path, "--out", out / "sweep.csv"],
-                 ["figure", cfg_path, "--figure-id", "threshold_sweep", "--seed", "3",
-                  "--periods", "2000", "--out", out / "threshold_sweep.csv"],
-                 ["solve", cfg_path, "--out", out / "solve.json"]):
-        res = CliRunner().invoke(main, [str(a) for a in args])
-        assert res.exit_code == 0, res.output
+    cfg_path, spec_path = write_inputs(cfg, work)
+    run(["sweep", cfg_path, spec_path, "--out", out / "sweep.csv"],
+        ["figure", cfg_path, "--figure-id", "threshold_sweep", "--seed", "3",
+         "--periods", "2000", "--out", out / "threshold_sweep.csv"],
+        ["solve", cfg_path, "--out", out / "solve.json"])
     estimate_throughput(OptimalThreshold(), cfg, 200, 3, trace_path=out / "trace.csv")
+
+
+def write_geo_outputs(out: Path, work: Path) -> None:
+    """Write every output in GEO_OUTPUTS into `out`, with inputs in `work`."""
+    cfg_path, spec_path = write_inputs(rp.default_scenario(p_avail=0.5, tau=0.01), work)
+    run(["sweep", cfg_path, spec_path, "--out", out / "sweep.csv"],
+        ["solve", cfg_path, "--samples", "100000", "--seed", "3",
+         "--out", out / "solve.json"])
 
 
 def test_onoff_outputs_equal_golden(tmp_path):
@@ -50,8 +72,20 @@ def test_onoff_outputs_equal_golden(tmp_path):
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
+def test_geometric_outputs_equal_golden(tmp_path):
+    recorded = NUMPY_VERSION.read_text().strip()
+    if recorded != np.__version__:
+        pytest.skip(f"geometric golden files were written with numpy {recorded}, "
+                    f"this is numpy {np.__version__}")
+    write_geo_outputs(tmp_path, tmp_path)
+    for name in GEO_OUTPUTS:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / "geo" / name).read_bytes(), name
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as work:
         write_outputs(GOLDEN, Path(work))
+        write_geo_outputs(GOLDEN / "geo", Path(work))
+    NUMPY_VERSION.write_text(np.__version__ + "\n")
