@@ -1,9 +1,13 @@
-"""mmWave link-budget primitives: pathloss, shadowing, Bernoulli blockage,
-SNR, and two-hop decode-and-forward spectral efficiency.
+"""Scenario configuration and the probe sampler.
 
-All stochastic functions take an explicit ``numpy.random.Generator`` and are
-pure given that stream, so they are safe to use from parallel workers as long
-as each worker owns its own generator.
+`sample_two_hop_se_batch` owns the mmWave link budget: Bernoulli blockage
+on each hop, pathloss a + b*log10(d/1km), log-normal shadowing, SNR over
+the thermal noise, and the half-duplex decode-and-forward spectral
+efficiency of the weaker hop, capped at se_cap.
+
+The sampler takes an explicit ``numpy.random.Generator`` and is pure given
+that stream, so it is safe to use from parallel workers as long as each
+worker owns its own generator.
 """
 
 from __future__ import annotations
@@ -166,44 +170,15 @@ def default_scenario(p_avail: float = 0.5, tau: float = 0.01, **overrides) -> Sc
     return ScenarioConfig(**base)
 
 
-def pathloss_db(distance, cfg: ScenarioConfig):
-    """Distance-dependent pathloss a + b*log10(d/1km) in dB. Accepts arrays."""
-    d = np.asarray(distance, dtype=float)
-    if np.any(d <= 0):
-        raise ValueError("distance must be positive")
-    return cfg.pathloss_a + cfg.pathloss_b * np.log10(d / 1000.0)
-
-
-def noise_power_dbm(cfg: ScenarioConfig) -> float:
-    """Thermal noise power over the channel bandwidth plus noise figure."""
-    return cfg.noise_psd + 10.0 * math.log10(cfg.bandwidth_W) + cfg.noise_figure
-
-
-def snr_linear(tx_dbm, g_tx, g_rx, distance, shadow_db, cfg: ScenarioConfig):
-    """Linear SNR of one clear hop, from the received power (dBm)
-    tx + g_tx + g_rx - pathloss + shadowing over the noise power."""
-    # computed in place in the fresh pathloss array, one full-size buffer
-    snr = np.asarray(pathloss_db(distance, cfg))
-    np.subtract(np.asarray(tx_dbm, dtype=float) + g_tx + g_rx, snr, out=snr)
-    snr += shadow_db
-    snr -= noise_power_dbm(cfg)
-    snr /= 10.0
-    np.power(10.0, snr, out=snr)
-    return float(snr) if snr.ndim == 0 else snr
-
-
-def two_hop_se(snr1, snr2, cfg: ScenarioConfig):
-    """Half-duplex DF spectral efficiency of a two-hop link, capped at se_cap.
-
-    min over the two hops of 0.5*log2(1 + 2*SNR): the factor 2 accounts for
-    each hop using only half the time, and the 1/2 for the rate halving.
-    """
-    s1 = np.asarray(snr1, dtype=float)
-    s2 = np.asarray(snr2, dtype=float)
-    if np.any(s1 < 0) or np.any(s2 < 0):
-        raise ValueError("SNR must be nonnegative")
-    se = 0.5 * np.log2(1.0 + 2.0 * np.minimum(s1, s2))
-    return np.minimum(se, cfg.se_cap)
+def _hop_log10_snr(cfg: ScenarioConfig, tx_dbm, g_tx, g_rx, d, shadow_db):
+    """log10 of one clear hop's linear SNR: (tx + g_tx + g_rx - pathloss
+    + shadowing - noise) / 10, in dB, with pathloss a + b*log10(d/1km)."""
+    x = cfg.pathloss_a + cfg.pathloss_b * np.log10(d / 1000.0)
+    np.subtract(float(tx_dbm) + g_tx + g_rx, x, out=x)
+    x += shadow_db
+    x -= cfg.noise_psd + 10.0 * math.log10(cfg.bandwidth_W) + cfg.noise_figure
+    x /= 10.0
+    return x
 
 
 def _disk_points(u_radius, u_angle, region: RelayRegion):
@@ -244,15 +219,18 @@ def sample_two_hop_se_batch(rng: np.random.Generator, cfg: ScenarioConfig, n: in
     del both
     x, y = _disk_points(rng.random(k), rng.random(k), cfg.relay_region)
     d = np.hypot(x - cfg.source_pos[0], y - cfg.source_pos[1])
-    s1 = snr_linear(cfg.tx_power_bs, cfg.bf_gain_bs, cfg.bf_gain_dev,
-                    d, rng.normal(0.0, cfg.shadow_sigma, k), cfg)
+    e1 = _hop_log10_snr(cfg, cfg.tx_power_bs, cfg.bf_gain_bs, cfg.bf_gain_dev,
+                        d, rng.normal(0.0, cfg.shadow_sigma, k))
     np.subtract(cfg.dest_pos[0], x, out=x)
     np.subtract(cfg.dest_pos[1], y, out=y)
     np.hypot(x, y, out=d)
     del x, y
-    s2 = snr_linear(cfg.tx_power_dev, cfg.bf_gain_dev, cfg.bf_gain_dev,
-                    d, rng.normal(0.0, cfg.shadow_sigma, k), cfg)
+    e2 = _hop_log10_snr(cfg, cfg.tx_power_dev, cfg.bf_gain_dev, cfg.bf_gain_dev,
+                        d, rng.normal(0.0, cfg.shadow_sigma, k))
     del d
+    # 10**x is increasing, so the weaker hop is picked before the one power;
+    # half-duplex DF: 0.5*log2(1 + 2*SNR), each hop using half the time
+    snr = np.power(10.0, np.minimum(e1, e2, out=e1), out=e1)
     se = np.zeros(n)
-    se[clear] = two_hop_se(s1, s2, cfg)
+    se[clear] = np.minimum(0.5 * np.log2(1.0 + 2.0 * snr), cfg.se_cap)
     return chi1, chi2, se

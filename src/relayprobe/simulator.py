@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -56,7 +57,8 @@ class ExplicitThreshold:
     rho: float
 
     def __post_init__(self):
-        if not math.isfinite(self.rho) or self.rho < 0:
+        if (isinstance(self.rho, bool) or not isinstance(self.rho, numbers.Real)
+                or not math.isfinite(self.rho) or self.rho < 0):
             raise ValueError("rho must be finite and nonnegative")
 
 
@@ -74,7 +76,8 @@ class FixedBeta:
     beta: int
 
     def __post_init__(self):
-        if not 1 <= self.beta <= MAX_PROBES:
+        if (isinstance(self.beta, bool) or not isinstance(self.beta, numbers.Integral)
+                or not 1 <= self.beta <= MAX_PROBES):
             raise ValueError(f"beta must be in [1, {MAX_PROBES}]")
 
 
@@ -156,17 +159,14 @@ def _simulate_chunk(policy, cfg, seed, chunk_index, n_periods):
     n_accepted = 0
     n_drawn = 0
     carry = 0.0
-    drawn_since_accept = 0
     while n_accepted < n_periods:
-        chi1, _, se = _channel.sample_two_hop_se_batch(rng, cfg, BLOCK_PROBES)
-        acc = np.flatnonzero(se >= policy.rho)
-        if acc.size == 0:
-            drawn_since_accept += BLOCK_PROBES
-        else:
-            drawn_since_accept = BLOCK_PROBES - 1 - int(acc[-1])
-        if drawn_since_accept > MAX_PROBES:
+        # the open period holds every probe drawn after the last stop
+        last_stop = stop_idx[n_accepted - 1] if n_accepted else -1
+        if n_drawn - 1 - last_stop > MAX_PROBES:
             raise RunawayPeriodError(
                 f"no stop within {MAX_PROBES} probes; threshold above support?")
+        chi1, _, se = _channel.sample_two_hop_se_batch(rng, cfg, BLOCK_PROBES)
+        acc = np.flatnonzero(se >= policy.rho)
         cum_time = tau * (1 + chi1)
         cum_time[0] += carry
         np.cumsum(cum_time, out=cum_time)

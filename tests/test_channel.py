@@ -9,8 +9,8 @@ from scipy import stats
 
 import relayprobe as rp
 from relayprobe.channel import (ConfigError, RelayRegion, ScenarioConfig,
-                                _disk_points, noise_power_dbm, pathloss_db,
-                                sample_two_hop_se_batch, snr_linear, two_hop_se)
+                                _disk_points, _hop_log10_snr,
+                                sample_two_hop_se_batch)
 from relayprobe.sedist import build_empirical
 
 
@@ -19,27 +19,60 @@ def sample_relay_positions(rng, cfg, n):
     return np.column_stack(_disk_points(rng.random(n), rng.random(n), cfg.relay_region))
 
 
+# -- reference link budget, hop by hop, from the README formulas -------------
+
+def ref_pathloss_db(d, cfg):
+    """a + b*log10(d / 1 km)."""
+    return cfg.pathloss_a + cfg.pathloss_b * np.log10(d / 1000.0)
+
+
+def ref_noise_dbm(cfg):
+    """Thermal noise over the bandwidth plus the noise figure."""
+    return cfg.noise_psd + 10.0 * math.log10(cfg.bandwidth_W) + cfg.noise_figure
+
+
+def ref_snr(tx, g_tx, g_rx, d, shadow, cfg):
+    """One hop's linear SNR, taken to the power on its own."""
+    return 10.0 ** ((tx + g_tx + g_rx - ref_pathloss_db(d, cfg) + shadow
+                     - ref_noise_dbm(cfg)) / 10.0)
+
+
+def ref_two_hop_se(s1, s2, cfg):
+    """Half-duplex DF rate of the weaker hop, 0.5*log2(1 + 2*SNR), capped."""
+    return np.minimum(0.5 * np.log2(1.0 + 2.0 * np.minimum(s1, s2)), cfg.se_cap)
+
+
+def hop_db(cfg, tx, g_tx, g_rx, d, shadow):
+    """One hop's SNR in dB through the sampler's own link budget."""
+    return 10.0 * _hop_log10_snr(cfg, tx, g_tx, g_rx, np.array([d]), shadow)[0]
+
+
+def sampler_pathloss_db(d, cfg):
+    # a hop sent at the noise power with no gain or shadowing reads -pathloss
+    return -hop_db(cfg, ref_noise_dbm(cfg), 0.0, 0.0, d, 0.0)
+
+
 @pytest.fixture
 def cfg():
     return rp.default_scenario()
 
 
+PATHLOSSES = (ref_pathloss_db, sampler_pathloss_db)
+
+
 class TestPathloss:
     def test_one_km_reference(self, cfg):
-        assert pathloss_db(1000.0, cfg) == pytest.approx(141.3)
+        for pathloss in PATHLOSSES:
+            assert pathloss(1000.0, cfg) == pytest.approx(141.3)
 
     def test_half_km(self, cfg):
         # 141.3 + 20*log10(0.5)
-        assert pathloss_db(500.0, cfg) == pytest.approx(141.3 - 6.0205999, abs=1e-6)
+        for pathloss in PATHLOSSES:
+            assert pathloss(500.0, cfg) == pytest.approx(141.3 - 6.0205999, abs=1e-6)
 
     def test_quarter_km(self, cfg):
-        assert pathloss_db(250.0, cfg) == pytest.approx(141.3 - 12.0411998, abs=1e-6)
-
-    def test_nonpositive_distance_rejected(self, cfg):
-        with pytest.raises(ValueError):
-            pathloss_db(0.0, cfg)
-        with pytest.raises(ValueError):
-            pathloss_db(-5.0, cfg)
+        for pathloss in PATHLOSSES:
+            assert pathloss(250.0, cfg) == pytest.approx(141.3 - 12.0411998, abs=1e-6)
 
 
 class TestSnr:
@@ -49,42 +82,54 @@ class TestSnr:
         rx = 30 + 30 - (141.3 + 20 * math.log10(0.5))
         noise = -174 + 10 * math.log10(500e6) + 7
         expected = 10 ** ((rx - noise) / 10)
-        got = snr_linear(30.0, 20.0, 10.0, 500.0, 0.0, cfg)
-        assert got == pytest.approx(expected, rel=1e-12)
-        assert got == pytest.approx(2.971, rel=1e-3)
+        for got in (ref_snr(30.0, 20.0, 10.0, 500.0, 0.0, cfg),
+                    10 ** (hop_db(cfg, 30.0, 20.0, 10.0, 500.0, 0.0) / 10)):
+            assert got == pytest.approx(expected, rel=1e-12)
+            assert got == pytest.approx(2.971, rel=1e-3)
 
     def test_shadowing_shifts_rx_power(self, cfg):
-        base = snr_linear(30.0, 20.0, 10.0, 500.0, 0.0, cfg)
-        shadowed = snr_linear(30.0, 20.0, 10.0, 500.0, 7.0, cfg)
+        base = ref_snr(30.0, 20.0, 10.0, 500.0, 0.0, cfg)
+        shadowed = ref_snr(30.0, 20.0, 10.0, 500.0, 7.0, cfg)
         assert 10 * math.log10(shadowed / base) == pytest.approx(7.0, abs=1e-9)
+        shift = (hop_db(cfg, 30.0, 20.0, 10.0, 500.0, 7.0)
+                 - hop_db(cfg, 30.0, 20.0, 10.0, 500.0, 0.0))
+        assert shift == pytest.approx(7.0, abs=1e-9)
 
     def test_noise_power(self, cfg):
-        assert noise_power_dbm(cfg) == pytest.approx(-80.0103, abs=1e-4)
+        # at 1 km the pathloss is exactly a, so a silent hop reads -a - noise
+        for noise in (ref_noise_dbm(cfg),
+                      -hop_db(cfg, 0.0, 0.0, 0.0, 1000.0, 0.0) - cfg.pathloss_a):
+            assert noise == pytest.approx(-80.0103, abs=1e-4)
 
 
 class TestTwoHopSe:
     def test_symmetric_links(self, cfg):
         # 0.5 * log2(1 + 2*2.971)
-        assert two_hop_se(2.971, 2.971, cfg) == pytest.approx(1.398, abs=1e-3)
+        assert ref_two_hop_se(2.971, 2.971, cfg) == pytest.approx(1.398, abs=1e-3)
 
     def test_zero_snr_hop_zeroes_rate(self, cfg):
-        assert two_hop_se(0.0, 123.0, cfg) == 0.0
+        assert ref_two_hop_se(0.0, 123.0, cfg) == 0.0
+        # a relay-destination hop at -1000 dBm has SNR 1e-100: 1 + 2*SNR
+        # rounds to 1, so the sampler gives every clear relay rate 0
+        weak = rp.default_scenario(p_avail=1.0, tx_power_dev=-1000.0)
+        _, _, se = sample_two_hop_se_batch(np.random.default_rng(0), weak, 1000)
+        assert np.all(se == 0.0)
 
     def test_cap_binds(self, cfg):
-        assert two_hop_se(1e9, 1e9, cfg) == cfg.se_cap
-
-    def test_negative_snr_rejected(self, cfg):
-        with pytest.raises(ValueError):
-            two_hop_se(-0.1, 1.0, cfg)
+        assert ref_two_hop_se(1e9, 1e9, cfg) == cfg.se_cap
+        # without shadowing no clear relay in the disk falls below 0.08
+        capped = rp.default_scenario(p_avail=1.0, shadow_sigma=0.0, se_cap=0.01)
+        _, _, se = sample_two_hop_se_batch(np.random.default_rng(0), capped, 1000)
+        assert np.all(se == 0.01)
 
     @pytest.mark.parametrize("a,b", [(0.1, 0.2), (1.0, 5.0), (3.0, 0.0)])
     def test_symmetry(self, cfg, a, b):
-        assert two_hop_se(a, b, cfg) == two_hop_se(b, a, cfg)
+        assert ref_two_hop_se(a, b, cfg) == ref_two_hop_se(b, a, cfg)
 
     def test_monotone_in_each_argument(self, cfg):
         grid = np.linspace(0.0, 20.0, 25)
         for other in (0.5, 5.0):
-            vals = [two_hop_se(s, other, cfg) for s in grid]
+            vals = [ref_two_hop_se(s, other, cfg) for s in grid]
             assert all(x <= y + 1e-15 for x, y in zip(vals, vals[1:]))
 
 
@@ -101,12 +146,12 @@ class TestRelaySampling:
         pos = sample_relay_positions(rng, cfg, n)
         d1 = np.hypot(*(pos - cfg.source_pos).T)
         d2 = np.hypot(*(np.asarray(cfg.dest_pos) - pos).T)
-        s1 = snr_linear(cfg.tx_power_bs, cfg.bf_gain_bs, cfg.bf_gain_dev,
-                        d1, 0.0, cfg)
-        s2 = snr_linear(cfg.tx_power_dev, cfg.bf_gain_dev, cfg.bf_gain_dev,
-                        d2, 0.0, cfg)
+        s1 = ref_snr(cfg.tx_power_bs, cfg.bf_gain_bs, cfg.bf_gain_dev, d1, 0.0, cfg)
+        s2 = ref_snr(cfg.tx_power_dev, cfg.bf_gain_dev, cfg.bf_gain_dev, d2, 0.0, cfg)
         assert np.all(se > 0)
-        assert np.array_equal(se, two_hop_se(s1, s2, cfg))
+        # the sampler takes the weaker hop before its one power; the
+        # reference takes a power per hop, then the minimum
+        assert np.array_equal(se, ref_two_hop_se(s1, s2, cfg))
 
     @pytest.mark.parametrize("n", [0, 1, 7, 16385])
     @pytest.mark.parametrize("cfg", [
@@ -119,8 +164,9 @@ class TestRelaySampling:
         # the kernel draws position and shadowing for dual-clear relays only
         # and runs the link budget on them alone; a twin generator redraws
         # the same variates, in the same order, gives each blocked relay a
-        # stand-in position and no shadowing, and runs the link budget on
-        # every relay, so a blocked one gets rate 0 from its blocked hop
+        # stand-in position and no shadowing, and runs the reference link
+        # budget, a power per hop, on every relay, so a blocked one gets
+        # rate 0 from its blocked hop
         got = sample_two_hop_se_batch(np.random.default_rng([n, 5]), cfg, n)
         rng = np.random.default_rng([n, 5])
         chi1 = (rng.random(n) < cfg.p_avail).astype(np.int8)
@@ -136,11 +182,11 @@ class TestRelaySampling:
             shadow2[clear] = rng.normal(0.0, cfg.shadow_sigma, clear.size)
             d1 = np.hypot(*(pos - cfg.source_pos).T)
             d2 = np.hypot(*(np.asarray(cfg.dest_pos) - pos).T)
-            s1 = snr_linear(cfg.tx_power_bs, cfg.bf_gain_bs, cfg.bf_gain_dev,
-                            d1, shadow1, cfg) * chi1
-            s2 = snr_linear(cfg.tx_power_dev, cfg.bf_gain_dev, cfg.bf_gain_dev,
-                            d2, shadow2, cfg) * chi2
-            se = two_hop_se(s1, s2, cfg)
+            s1 = ref_snr(cfg.tx_power_bs, cfg.bf_gain_bs, cfg.bf_gain_dev,
+                         d1, shadow1, cfg) * chi1
+            s2 = ref_snr(cfg.tx_power_dev, cfg.bf_gain_dev, cfg.bf_gain_dev,
+                         d2, shadow2, cfg) * chi2
+            se = ref_two_hop_se(s1, s2, cfg)
         for a, b in zip(got, (chi1, chi2, se)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 

@@ -144,9 +144,21 @@ class TestFixedBetaBound:
         # runaway bound could only exhaust memory: fixed:1000000000 would
         # ask for 8 GB per float64 array
         assert FixedBeta(10 ** 6).beta == 10 ** 6
-        for beta in (0, 10 ** 6 + 1, 10 ** 9):
+        assert FixedBeta(np.int64(5)).beta == 5
+        # a float or bool count would construct, then fail in the engine
+        for beta in (0, 10 ** 6 + 1, 10 ** 9, 2.5, True, "5"):
             with pytest.raises(ValueError, match="beta"):
                 FixedBeta(beta)
+
+
+class TestExplicitThreshold:
+    def test_rho_is_a_finite_nonnegative_real(self):
+        assert ExplicitThreshold(1).rho == 1
+        assert ExplicitThreshold(np.float64(0.5)).rho == 0.5
+        # True would simulate rho = 1
+        for rho in (-1.0, math.nan, math.inf, True, "1.0", None):
+            with pytest.raises(ValueError, match="rho"):
+                ExplicitThreshold(rho)
 
 
 class TestRunPeriod:
@@ -542,6 +554,17 @@ class TestStreamedEngine:
             else:
                 with pytest.raises(RunawayPeriodError):
                     simulator._simulate_chunk(MYOPIC, onoff_cfg(), 0, 0, 3)
+
+    def test_tail_after_last_stop_is_no_runaway(self, monkeypatch):
+        # both periods stop early in the block; the long tail after the last
+        # stop belongs to no period
+        se = np.zeros(BLOCK_PROBES)
+        se[[5, 10]] = 1.0
+        monkeypatch.setattr(simulator._channel, "sample_two_hop_se_batch",
+                            lambda rng, cfg, n: (np.ones(n, np.int8), np.ones(n, np.int8), se))
+        monkeypatch.setattr(simulator, "MAX_PROBES", 100)
+        got = simulator._simulate_chunk(MYOPIC, onoff_cfg(), 0, 0, 2)
+        assert got.n_probed.tolist() == [6, 5]
 
     def test_chunk_memory_is_bounded(self):
         # myopic at p = 0.05 takes about 400 probes per period, 1.6e6 per
