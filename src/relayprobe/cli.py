@@ -170,24 +170,21 @@ def main():
 
 @main.command()
 @click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--samples", default=simulator.LAW_SAMPLES, show_default=True,
-              type=click.IntRange(min=1),
-              help="Clear-link draws for a geometric config's rate law.")
 @click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
               callback=_out_dir_exists, help="Write the solution JSON here.")
-def solve(config_path, samples, seed, out_path):
+def solve(config_path, seed, out_path):
     """Compute the maximum throughput and stopping threshold for CONFIG_PATH
     on the config's own rate law: exact for on/off links, Monte Carlo
     clear-link draws for geometric ones."""
     cfg = _load(ScenarioConfig.from_json, config_path, "config")
     try:
-        sol = simulator.optimal_solution(cfg, seed, samples)
+        sol = simulator.optimal_solution(cfg, seed)
     except (solver.DegenerateDistributionError, solver.ConvergenceError) as exc:
         raise click.ClickException(str(exc))
     onoff = cfg.channel_mode == "onoff"
     click.echo("rate law: onoff" if onoff else
-               f"rate law: geometric, {samples} clear-link draws, seed {seed}")
+               f"rate law: geometric, {simulator.LAW_SAMPLES} clear-link draws, seed {seed}")
     click.echo(f"mu_star: {sol.mu_star:.6g} bit/s")
     click.echo(f"threshold: {sol.threshold_se:.6g} bit/s/Hz")
     if onoff:

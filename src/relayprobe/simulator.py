@@ -26,7 +26,8 @@ from . import solver as _solver
 from .channel import ScenarioConfig
 
 CHUNK_PERIODS = 4096
-# a threshold chunk draws its probe stream in blocks of this many relays
+# a chunk draws its probe stream in blocks of this many relays, rounded
+# down to whole periods for FixedBeta
 BLOCK_PROBES = 1 << 14
 # one substream id reserved for drawing the clear-link rate law that an
 # OptimalThreshold policy is resolved on
@@ -95,13 +96,12 @@ def _clear_law(clear_cfg: ScenarioConfig, seed: int,
     return _sedist.build_empirical(clear_cfg, n_samples, rng)
 
 
-def optimal_solution(cfg: ScenarioConfig, seed: int = 0,
-                     n_samples: int = LAW_SAMPLES) -> _solver.StoppingSolution:
+def optimal_solution(cfg: ScenarioConfig, seed: int = 0) -> _solver.StoppingSolution:
     """Solve the fixed point on the config's own rate law
-    (`sedist.build_empirical`, drawn deterministically from `seed`). The last
+    (`sedist.build_empirical` on LAW_SAMPLES draws from `seed`). The last
     clear-link law built is reused, so a p_avail or tau sweep draws it once."""
     clear_cfg = replace(cfg, p_avail=1.0, tau=1.0, T_data=1.0)
-    dist = _clear_law(clear_cfg, seed, n_samples).at(cfg.p_avail)
+    dist = _clear_law(clear_cfg, seed, LAW_SAMPLES).at(cfg.p_avail)
     return _solver.solve_mu_star(dist, cfg.bandwidth_W, cfg.T_data,
                                  cfg.tau, cfg.p_avail)
 
@@ -126,65 +126,52 @@ class PeriodArrays:
 
 
 def _simulate_chunk(policy, cfg, seed, chunk_index, n_periods):
-    """Simulate n_periods periods from substream (seed, chunk_index)."""
+    """Simulate n_periods periods from substream (seed, chunk_index).
+
+    Probes are i.i.d., so one flat probe stream serves all periods back to
+    back: period i ends at the i-th stop. A threshold stops at each accepted
+    probe, FixedBeta at every beta-th probe (its blocks hold whole periods).
+    Each block is reduced as it is drawn, so memory is O(block + n_periods)
+    however many probes a period takes. A period lasts tau per probe plus
+    tau per clear first hop, counted in integers, plus T_data."""
     rng = np.random.default_rng([seed, chunk_index])
     W, T, tau = cfg.bandwidth_W, cfg.T_data, cfg.tau
-
-    if isinstance(policy, FixedBeta):
-        # whole periods are drawn in blocks of about BLOCK_PROBES relays, so
-        # memory is O(block + beta + n_periods) whatever beta is
-        beta = policy.beta
-        step = max(1, BLOCK_PROBES // beta)
-        best = np.empty(n_periods)
-        n_first = np.empty(n_periods, dtype=np.int64)
-        for i in range(0, n_periods, step):
-            m = min(step, n_periods - i)
-            chi1, _, se = _channel.sample_two_hop_se_batch(rng, cfg, m * beta)
-            n_first[i:i + m] = chi1.reshape(m, beta).sum(axis=1)
-            best[i:i + m] = se.reshape(m, beta).max(axis=1)
-        return PeriodArrays(
-            np.full(n_periods, beta, dtype=np.int64),
-            tau * (beta + n_first) + T, W * T * best, best,
-        )
-
-    # Probes are i.i.d. and the threshold test is per-probe, so a flat probe
-    # stream serves all periods back to back: period i ends at the i-th
-    # accepted probe. Each block is reduced as it is drawn, so memory is
-    # O(block + n_periods) however many probes a period takes. The running
-    # probe time is carried into the block's first element before its cumsum,
-    # so every stop time is the sum one cumsum over the whole stream gives.
+    beta = policy.beta if isinstance(policy, FixedBeta) else None
     stop_idx = np.empty(n_periods, dtype=np.int64)
-    cum_at_stop = np.empty(n_periods)
+    first_at_stop = np.empty(n_periods, dtype=np.int64)
     rate = np.empty(n_periods)
-    n_accepted = 0
-    n_drawn = 0
-    carry = 0.0
-    while n_accepted < n_periods:
+    n_done = n_drawn = first_drawn = 0
+    while n_done < n_periods:
         # the open period holds every probe drawn after the last stop
-        last_stop = stop_idx[n_accepted - 1] if n_accepted else -1
+        last_stop = stop_idx[n_done - 1] if n_done else -1
         if n_drawn - 1 - last_stop > MAX_PROBES:
             raise RunawayPeriodError(
                 f"no stop within {MAX_PROBES} probes; threshold above support?")
-        chi1, _, se = _channel.sample_two_hop_se_batch(rng, cfg, BLOCK_PROBES)
-        acc = np.flatnonzero(se >= policy.rho)
-        cum_time = tau * (1 + chi1)
-        cum_time[0] += carry
-        np.cumsum(cum_time, out=cum_time)
-        stops = acc[:n_periods - n_accepted]
-        done = n_accepted + stops.size
-        stop_idx[n_accepted:done] = n_drawn + stops
-        cum_at_stop[n_accepted:done] = cum_time[stops]
-        rate[n_accepted:done] = se[stops]
-        n_accepted = done
-        n_drawn += BLOCK_PROBES
-        carry = cum_time[-1]
+        left = n_periods - n_done
+        size = beta * min(max(1, BLOCK_PROBES // beta), left) if beta else BLOCK_PROBES
+        chi1, _, se = _channel.sample_two_hop_se_batch(rng, cfg, size)
+        if beta:
+            stops = np.arange(beta - 1, size, beta)
+            best = se.reshape(-1, beta).max(axis=1)
+        else:
+            stops = np.flatnonzero(se >= policy.rho)[:left]
+            best = se[stops]
+        cum_first = np.cumsum(chi1, dtype=np.int64)
+        done = n_done + stops.size
+        stop_idx[n_done:done] = n_drawn + stops
+        first_at_stop[n_done:done] = first_drawn + cum_first[stops]
+        rate[n_done:done] = best
+        n_done = done
+        n_drawn += size
+        first_drawn += int(cum_first[-1])
 
     n_probed = np.diff(stop_idx, prepend=-1)
     if n_probed.max() > MAX_PROBES:
         raise RunawayPeriodError(
             f"no stop within {MAX_PROBES} probes; threshold above support?")
-    probing_time = np.diff(cum_at_stop, prepend=0.0)
-    return PeriodArrays(n_probed, probing_time + T, W * T * rate, rate)
+    n_first = np.diff(first_at_stop, prepend=0)
+    return PeriodArrays(n_probed, tau * (n_probed + n_first) + T,
+                        W * T * rate, rate)
 
 
 def simulate_periods(policy: StoppingPolicy, cfg: ScenarioConfig, n_periods: int,

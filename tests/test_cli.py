@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 import relayprobe as rp
-from relayprobe import solver
+from relayprobe import simulator, solver
 from relayprobe.cli import (SWEEP_COLUMNS, SweepSpec, main, parse_strategy,
                             run_sweep)
 from relayprobe.simulator import (MYOPIC, ExplicitThreshold, FixedBeta,
@@ -120,28 +120,32 @@ class TestSolveCommand:
         assert res.exit_code == 0
         assert json.loads(out.read_text())["mu_star_bps"] == pytest.approx(2.0, rel=1e-9)
 
-    def test_empirical_mode_is_deterministic(self, runner, geo_cfg_path, tmp_path):
+    def test_empirical_mode_is_deterministic(self, runner, geo_cfg_path, tmp_path,
+                                             monkeypatch):
+        monkeypatch.setattr(simulator, "LAW_SAMPLES", 20000)
         outs = []
         for name in ("a.json", "b.json"):
+            simulator._clear_law.cache_clear()
             out = tmp_path / name
-            res = runner.invoke(main, [
-                "solve", geo_cfg_path,
-                "--samples", "20000", "--seed", "3", "--out", str(out)])
+            res = runner.invoke(main, ["solve", geo_cfg_path, "--seed", "3",
+                                       "--out", str(out)])
             assert res.exit_code == 0, res.output
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_geometric_solve_equals_resolve(self, runner, geo_cfg_path, tmp_path):
+    def test_geometric_solve_equals_resolve(self, runner, geo_cfg_path, tmp_path,
+                                            monkeypatch):
         # `solve` and the simulator's optimal threshold solve the same law
+        monkeypatch.setattr(simulator, "LAW_SAMPLES", 20000)
         out = tmp_path / "sol.json"
-        res = runner.invoke(main, ["solve", geo_cfg_path, "--samples", "20000",
-                                   "--seed", "3", "--out", str(out)])
+        res = runner.invoke(main, ["solve", geo_cfg_path, "--seed", "3",
+                                   "--out", str(out)])
         assert res.exit_code == 0, res.output
         assert res.output.splitlines()[0] == \
             "rate law: geometric, 20000 clear-link draws, seed 3"
         assert "genie_ratio" not in res.output
         cfg = rp.ScenarioConfig.from_json(geo_cfg_path)
-        rho = optimal_solution(cfg, 3, 20000).threshold_se
+        rho = optimal_solution(cfg, 3).threshold_se
         assert json.loads(out.read_text())["threshold_se"] == rho
 
     def test_malformed_config(self, runner, tmp_path):
@@ -337,14 +341,13 @@ class TestFigureCommand:
       "--periods", "10"], "--periods"),
     (["figure", "{cfg}", "--figure-id", "strategy_vs_p", "--out", "{out}",
       "--seed", "-1"], "--seed"),
-    (["solve", "{cfg}", "--samples", "0"], "--samples"),
     (["solve", "{cfg}", "--seed", "-1"], "--seed"),
     (["sweep", "{cfg}", "{cfg}", "--out", "{out}", "--seed", "-1"], "--seed"),
     (["figure", "{cfg}", "--figure-id", "strategy_vs_p", "--out", "{out}",
       "--workers", "0"], "--workers"),
     (["sweep", "{cfg}", "{cfg}", "--out", "{out}", "--workers", "-2"], "--workers"),
     (["sweep", "{cfg}", "{cfg}", "--out", "{out}", "--periods", "10"], "--periods"),
-], ids=["figure-periods", "figure-seed", "solve-samples", "solve-seed", "sweep-seed",
+], ids=["figure-periods", "figure-seed", "solve-seed", "sweep-seed",
         "figure-workers", "sweep-workers", "sweep-periods"])
 def test_integer_options_range_checked(runner, geo_cfg_path, tmp_path, args, option):
     out = str(tmp_path / "o.csv")

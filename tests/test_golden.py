@@ -62,8 +62,7 @@ def write_geo_outputs(out: Path, work: Path) -> None:
     """Write every output in GEO_OUTPUTS into `out`, with inputs in `work`."""
     cfg_path, spec_path = write_inputs(rp.default_scenario(p_avail=0.5, tau=0.01), work)
     run(["sweep", cfg_path, spec_path, "--out", out / "sweep.csv"],
-        ["solve", cfg_path, "--samples", "100000", "--seed", "3",
-         "--out", out / "solve.json"])
+        ["solve", cfg_path, "--seed", "3", "--out", out / "solve.json"])
 
 
 def test_onoff_outputs_equal_golden(tmp_path):

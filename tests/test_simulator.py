@@ -207,11 +207,13 @@ class TestResolvePolicy:
         pol = MYOPIC
         assert resolve_policy(pol, cfg) is pol
 
-    def test_geometric_resolution_is_deterministic(self):
+    def test_geometric_resolution_is_deterministic(self, monkeypatch):
         cfg = rp.default_scenario(p_avail=0.5)
-        a = optimal_solution(cfg, 5, 10 ** 4).threshold_se
+        monkeypatch.setattr(simulator, "LAW_SAMPLES", 10 ** 4)
         simulator._clear_law.cache_clear()
-        b = optimal_solution(cfg, 5, 10 ** 4).threshold_se
+        a = optimal_solution(cfg, 5).threshold_se
+        simulator._clear_law.cache_clear()
+        b = optimal_solution(cfg, 5).threshold_se
         assert a == b
 
     def test_small_p_resolve_is_accurate(self):
@@ -260,32 +262,36 @@ class TestClearLawMemo:
             fresh = solver.solve_mu_star(law, cfg.bandwidth_W, cfg.T_data, cfg.tau, p)
             assert rho == fresh.threshold_se
 
-    def test_one_build_per_tau_sweep(self, builds):
+    def test_one_build_per_tau_sweep(self, builds, monkeypatch):
         # the clear-link law does not read tau or T_data, so neither keys it
         cfg = rp.default_scenario(p_avail=0.4)
         taus = (0.01, 0.02, 0.05)
-        rhos = [optimal_solution(dataclasses.replace(cfg, tau=t), 0, 1000).threshold_se
+        monkeypatch.setattr(simulator, "LAW_SAMPLES", 1000)
+        rhos = [optimal_solution(dataclasses.replace(cfg, tau=t), 0).threshold_se
                 for t in taus]
-        optimal_solution(dataclasses.replace(cfg, T_data=0.5), 0, 1000)
+        optimal_solution(dataclasses.replace(cfg, T_data=0.5), 0)
         assert len(builds) == 1
         for t, rho in zip(taus, rhos):
             law = sedist.build_empirical(cfg, 1000, np.random.default_rng([0, 2 ** 31]))
             fresh = solver.solve_mu_star(law, cfg.bandwidth_W, cfg.T_data, t, 0.4)
             assert rho == fresh.threshold_se
 
-    def test_clear_law_change_rebuilds(self, builds):
+    def test_clear_law_change_rebuilds(self, builds, monkeypatch):
         cfg = rp.default_scenario(p_avail=0.3)
-        optimal_solution(cfg, 1, 1000)
-        optimal_solution(dataclasses.replace(cfg, p_avail=0.7), 1, 1000)
+        monkeypatch.setattr(simulator, "LAW_SAMPLES", 1000)
+        optimal_solution(cfg, 1)
+        optimal_solution(dataclasses.replace(cfg, p_avail=0.7), 1)
         # list-valued positions give the same, hashable config
         region = cfg.relay_region
         optimal_solution(dataclasses.replace(
             cfg, source_pos=list(cfg.source_pos), dest_pos=list(cfg.dest_pos),
-            relay_region=RelayRegion(list(region.center), region.radius)), 1, 1000)
+            relay_region=RelayRegion(list(region.center), region.radius)), 1)
         assert len(builds) == 1
-        optimal_solution(dataclasses.replace(cfg, shadow_sigma=3.0), 1, 1000)
-        optimal_solution(cfg, 2, 1000)
-        optimal_solution(cfg, 2, 2000)
+        optimal_solution(dataclasses.replace(cfg, shadow_sigma=3.0), 1)
+        optimal_solution(cfg, 2)
+        # LAW_SAMPLES is read at each call, so changing it rebuilds
+        monkeypatch.setattr(simulator, "LAW_SAMPLES", 2000)
+        optimal_solution(cfg, 2)
         assert len(builds) == 4
         assert builds[1].shadow_sigma == 3.0
         assert all(c.p_avail == 1.0 for c in builds)
@@ -448,9 +454,10 @@ class TestEngineAgainstScalarLoop:
 
 def flat_oracle(policy, cfg, seed, chunk_index, n_periods):
     """The threshold engine as one flat pass: keep every block of the probe
-    stream, then take the first n_periods stops and one cumsum over it all."""
+    stream, then take the first n_periods stops and count the clear first
+    hops with one cumsum over it all."""
     rng = np.random.default_rng([seed, chunk_index])
-    time_parts, rate_parts, accept_parts = [], [], []
+    chi1_parts, rate_parts, accept_parts = [], [], []
     n_accepted = drawn_since_accept = 0
     while n_accepted < n_periods:
         chi1, _, se = sample_two_hop_se_batch(rng, cfg, BLOCK_PROBES)
@@ -460,7 +467,7 @@ def flat_oracle(policy, cfg, seed, chunk_index, n_periods):
                               else BLOCK_PROBES - 1 - int(hits[-1]))
         if drawn_since_accept > simulator.MAX_PROBES:
             raise RunawayPeriodError("tail")
-        time_parts.append(cfg.tau * (1 + chi1))
+        chi1_parts.append(chi1)
         rate_parts.append(se)
         accept_parts.append(acc)
         n_accepted += hits.size
@@ -468,10 +475,11 @@ def flat_oracle(policy, cfg, seed, chunk_index, n_periods):
     n_probed = np.diff(stop_idx, prepend=-1)
     if n_probed.max() > simulator.MAX_PROBES:
         raise RunawayPeriodError("span")
-    cum_time = np.cumsum(np.concatenate(time_parts))
+    n_first = np.diff(np.cumsum(np.concatenate(chi1_parts), dtype=np.int64)[stop_idx],
+                      prepend=0)
     rate = np.concatenate(rate_parts)[stop_idx]
     W, T = cfg.bandwidth_W, cfg.T_data
-    return simulator.PeriodArrays(n_probed, np.diff(cum_time[stop_idx], prepend=0.0) + T,
+    return simulator.PeriodArrays(n_probed, cfg.tau * (n_probed + n_first) + T,
                                   W * T * rate, rate)
 
 
@@ -565,6 +573,19 @@ class TestStreamedEngine:
         monkeypatch.setattr(simulator, "MAX_PROBES", 100)
         got = simulator._simulate_chunk(MYOPIC, onoff_cfg(), 0, 0, 2)
         assert got.n_probed.tolist() == [6, 5]
+
+    @pytest.mark.parametrize("p", [1.0, 0.05])
+    def test_period_time_on_probe_lattice(self, p):
+        # a period lasts tau per probe and per clear first hop, then T_data,
+        # with no rounding carried from earlier periods or blocks
+        cfg = onoff_cfg(p=p)
+        tau, T = cfg.tau, cfg.T_data
+        arr = simulate_periods(MYOPIC, cfg, 3 * CHUNK_PERIODS if p == 1.0 else 2000, 7)
+        if p == 1.0:
+            assert np.all(arr.period_time == 2 * tau + T)
+        k = np.rint((arr.period_time - T) / tau)
+        assert np.array_equal(tau * k + T, arr.period_time)
+        assert np.all((arr.n_probed < k) & (k <= 2 * arr.n_probed))
 
     def test_chunk_memory_is_bounded(self):
         # myopic at p = 0.05 takes about 400 probes per period, 1.6e6 per
