@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass, asdict
 
@@ -34,7 +35,7 @@ class RelayRegion:
     def __post_init__(self):
         # configs stay hashable, so the simulator can key a memo on them
         object.__setattr__(self, "center", _point(self.center, "relay_region center"))
-        object.__setattr__(self, "radius", float(_number(self.radius, "relay_region radius")))
+        object.__setattr__(self, "radius", float(check_number(self.radius, "relay_region radius")))
         if self.radius <= 0:
             raise ConfigError("relay_region radius must be positive")
 
@@ -75,7 +76,7 @@ class ScenarioConfig:
             if name in ("source_pos", "dest_pos"):
                 object.__setattr__(self, name, _point(getattr(self, name), name))
             elif name not in ("relay_region", "channel_mode"):
-                _number(getattr(self, name), name)
+                check_number(getattr(self, name), name)
         if not isinstance(self.relay_region, RelayRegion):
             raise ConfigError(f"relay_region must be a RelayRegion, got {self.relay_region!r}")
         if not (0.0 < self.p_avail <= 1.0):
@@ -120,28 +121,37 @@ class ScenarioConfig:
 
     @classmethod
     def from_json(cls, path) -> "ScenarioConfig":
-        with open(path) as f:
-            try:
-                d = json.load(f)
-            except ValueError as exc:  # bad JSON or bytes that are not text
-                raise ConfigError(f"invalid JSON in {path}: {exc}") from None
-        if not isinstance(d, dict):
-            raise ConfigError("config JSON must be an object")
-        return cls.from_dict(d)
+        return cls.from_dict(load_object(path, "config"))
 
 
-def _number(value, name: str):
-    # exact for ints: one past float range fails here, not overflows
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
+def check_number(value, name: str, integer: bool = False):
+    """The one rule for an outside number (configs, sweep specs, stop rules):
+    an int or float (np.float64 is one), or with `integer` any integer type,
+    returned as int; never a bool; in float range, exact for ints."""
+    if (isinstance(value, bool)
+            or not isinstance(value, numbers.Integral if integer else (int, float))
             or not abs(value) <= sys.float_info.max):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    return value
+        kind = "a finite integer" if integer else "a finite number"
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+    return int(value) if integer else value
+
+
+def load_object(path, what: str) -> dict:
+    """The one JSON reader for input files: the object in `path`."""
+    with open(path) as f:
+        try:
+            d = json.load(f)
+        except ValueError as exc:  # bad JSON or bytes that are not text
+            raise ConfigError(f"invalid JSON in {path}: {exc}") from None
+    if not isinstance(d, dict):
+        raise ConfigError(f"{what} JSON must be an object")
+    return d
 
 
 def _point(value, name: str) -> tuple:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(f"{name} must be two numbers [x, y], got {value!r}")
-    return tuple(_number(v, name) for v in value)
+    return tuple(check_number(v, name) for v in value)
 
 
 def default_scenario(p_avail: float = 0.5, tau: float = 0.01, **overrides) -> ScenarioConfig:

@@ -4,7 +4,6 @@ figure-preset sweeps with machine-readable CSV/JSON output."""
 from __future__ import annotations
 
 import csv
-import json
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -13,7 +12,7 @@ import click
 import numpy as np
 
 from . import simulator, solver
-from .channel import ScenarioConfig
+from .channel import ScenarioConfig, check_number, load_object
 from .simulator import (MYOPIC, ExplicitThreshold, FixedBeta,
                         OptimalThreshold, RunawayPeriodError)
 
@@ -36,20 +35,15 @@ class SweepSpec:
     def __post_init__(self):
         if self.variable not in ("threshold", "p_avail", "tau"):
             raise ValueError(f"unknown sweep variable {self.variable!r}")
-        # exact for ints: one past float range fails here, not overflows
-        if not isinstance(self.grid, (list, tuple)) or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool)
-                and abs(v) <= sys.float_info.max for v in self.grid):
-            raise ValueError(f"grid must be a list of finite numbers, got {self.grid!r}")
-        object.__setattr__(self, "grid", tuple(float(v) for v in self.grid))
+        if not isinstance(self.grid, (list, tuple)):
+            raise ValueError(f"grid must be a list of numbers, got {self.grid!r}")
+        object.__setattr__(self, "grid", tuple(float(check_number(v, "grid")) for v in self.grid))
         if not isinstance(self.strategies, (list, tuple)) or not all(
                 isinstance(v, str) for v in self.strategies):
             raise ValueError(f"strategies must be a list of strings, got {self.strategies!r}")
         object.__setattr__(self, "strategies", tuple(self.strategies))
         for key in ("n_periods", "seed"):
-            v = getattr(self, key)
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ValueError(f"{key} must be an integer, got {v!r}")
+            object.__setattr__(self, key, check_number(getattr(self, key), key, integer=True))
         if len(self.grid) == 0:
             raise ValueError("grid must be nonempty")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
@@ -63,10 +57,7 @@ class SweepSpec:
 
     @classmethod
     def from_json(cls, path) -> "SweepSpec":
-        with open(path) as f:
-            d = json.load(f)
-        if not isinstance(d, dict):
-            raise ValueError("sweep spec must be a JSON object")
+        d = load_object(path, "sweep spec")
         unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown sweep keys: {sorted(unknown)}")
@@ -200,18 +191,10 @@ def solve(config_path, seed, out_path):
 @click.option("--out", "out_csv", type=click.Path(dir_okay=False), required=True,
               callback=_out_dir_exists)
 @click.option("--workers", default=1, show_default=True, type=click.IntRange(min=1))
-@click.option("--seed", default=None, type=click.IntRange(min=0),
-              help="Override the spec's seed.")
-@click.option("--periods", default=None, type=click.IntRange(min=simulator.N_BATCHES),
-              help="Override the spec's n_periods.")
-def sweep(config_path, sweep_spec_path, out_csv, workers, seed, periods):
+def sweep(config_path, sweep_spec_path, out_csv, workers):
     """Run the sweep described by SWEEP_SPEC_PATH and write a CSV."""
     cfg = _load(ScenarioConfig.from_json, config_path, "config")
     spec = _load(SweepSpec.from_json, sweep_spec_path, "sweep spec")
-    if seed is not None:
-        spec = replace(spec, seed=seed)
-    if periods is not None:
-        spec = replace(spec, n_periods=periods)
     rows = sweep_rows(cfg, spec, workers)
     _write(write_sweep_csv, out_csv, rows)
     click.echo(f"wrote {len(rows)} rows to {out_csv}")

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -23,7 +22,7 @@ import numpy as np
 from . import channel as _channel
 from . import sedist as _sedist
 from . import solver as _solver
-from .channel import ScenarioConfig
+from .channel import ScenarioConfig, check_number
 
 CHUNK_PERIODS = 4096
 # a chunk draws its probe stream in blocks of this many relays, rounded
@@ -58,8 +57,7 @@ class ExplicitThreshold:
     rho: float
 
     def __post_init__(self):
-        if (isinstance(self.rho, bool) or not isinstance(self.rho, numbers.Real)
-                or not math.isfinite(self.rho) or self.rho < 0):
+        if check_number(self.rho, "rho") < 0:
             raise ValueError("rho must be finite and nonnegative")
 
 
@@ -77,8 +75,7 @@ class FixedBeta:
     beta: int
 
     def __post_init__(self):
-        if (isinstance(self.beta, bool) or not isinstance(self.beta, numbers.Integral)
-                or not 1 <= self.beta <= MAX_PROBES):
+        if not 1 <= check_number(self.beta, "beta", integer=True) <= MAX_PROBES:
             raise ValueError(f"beta must be in [1, {MAX_PROBES}]")
 
 
@@ -152,7 +149,7 @@ def _simulate_chunk(policy, cfg, seed, chunk_index, n_periods):
         chi1, _, se = _channel.sample_two_hop_se_batch(rng, cfg, size)
         if beta:
             stops = np.arange(beta - 1, size, beta)
-            best = se.reshape(-1, beta).max(axis=1)
+            best = np.maximum.reduceat(se, stops - (beta - 1))
         else:
             stops = np.flatnonzero(se >= policy.rho)[:left]
             best = se[stops]

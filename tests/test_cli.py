@@ -4,6 +4,7 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -82,6 +83,9 @@ class TestSweepSpec:
         {"n_periods": 100.0},
         {"strategies": "myopic"},
         {"seed": True},
+        # ints too large for a float
+        {"n_periods": 10 ** 400},
+        {"grid": (10 ** 400,)},
     ])
     def test_validation(self, patch):
         base = dict(variable="p_avail", grid=(0.3, 0.6), strategies=("myopic",),
@@ -89,6 +93,11 @@ class TestSweepSpec:
         base.update(patch)
         with pytest.raises(ValueError):
             SweepSpec(**base)
+
+    def test_numpy_integers_stored_as_int(self):
+        spec = SweepSpec("p_avail", (0.3,), ("myopic",), np.int64(100), np.int64(2))
+        assert (spec.n_periods, spec.seed) == (100, 2)
+        assert type(spec.n_periods) is int and type(spec.seed) is int
 
 
 class TestSolveCommand:
@@ -237,6 +246,7 @@ class TestSweepCommand:
         # an int too large for a float
         '{"variable": "p_avail", "grid": [0.5, 1%s], "strategies": ["myopic"], "n_periods": 100}'
         % ("0" * 400),
+        '{not json',
     ])
     def test_malformed_spec_reported(self, runner, onoff_cfg_path, tmp_path, spec_text):
         spec = tmp_path / "spec.json"
@@ -245,6 +255,8 @@ class TestSweepCommand:
                                    "--out", str(tmp_path / "o.csv")])
         assert res.exit_code != 0
         assert "bad sweep spec" in res.output
+        if spec_text == "{not json":
+            assert "invalid JSON" in res.output
         assert res.exc_info[0] is SystemExit and "Traceback" not in res.output
 
     def test_empty_strategies_usage_error(self, runner, onoff_cfg_path, tmp_path):
@@ -342,13 +354,11 @@ class TestFigureCommand:
     (["figure", "{cfg}", "--figure-id", "strategy_vs_p", "--out", "{out}",
       "--seed", "-1"], "--seed"),
     (["solve", "{cfg}", "--seed", "-1"], "--seed"),
-    (["sweep", "{cfg}", "{cfg}", "--out", "{out}", "--seed", "-1"], "--seed"),
     (["figure", "{cfg}", "--figure-id", "strategy_vs_p", "--out", "{out}",
       "--workers", "0"], "--workers"),
     (["sweep", "{cfg}", "{cfg}", "--out", "{out}", "--workers", "-2"], "--workers"),
-    (["sweep", "{cfg}", "{cfg}", "--out", "{out}", "--periods", "10"], "--periods"),
-], ids=["figure-periods", "figure-seed", "solve-seed", "sweep-seed",
-        "figure-workers", "sweep-workers", "sweep-periods"])
+], ids=["figure-periods", "figure-seed", "solve-seed", "figure-workers",
+        "sweep-workers"])
 def test_integer_options_range_checked(runner, geo_cfg_path, tmp_path, args, option):
     out = str(tmp_path / "o.csv")
     res = runner.invoke(main, [a.format(cfg=geo_cfg_path, out=out) for a in args])

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -155,8 +156,10 @@ class TestExplicitThreshold:
     def test_rho_is_a_finite_nonnegative_real(self):
         assert ExplicitThreshold(1).rho == 1
         assert ExplicitThreshold(np.float64(0.5)).rho == 0.5
-        # True would simulate rho = 1
-        for rho in (-1.0, math.nan, math.inf, True, "1.0", None):
+        # True would simulate rho = 1; 10**400 used to overflow; no config
+        # field takes a float32, a numpy integer or a Fraction, nor does rho
+        for rho in (-1.0, math.nan, math.inf, True, "1.0", None, 10 ** 400,
+                    np.float32(0.5), np.int64(1), Fraction(1, 2)):
             with pytest.raises(ValueError, match="rho"):
                 ExplicitThreshold(rho)
 
