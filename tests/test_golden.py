@@ -22,16 +22,22 @@ from click.testing import CliRunner
 
 import relayprobe as rp
 from relayprobe.cli import main
-from relayprobe.simulator import OptimalThreshold, estimate_throughput
+from relayprobe.simulator import (ExplicitThreshold, OptimalThreshold,
+                                  estimate_throughput)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 OUTPUTS = ("sweep.csv", "threshold_sweep.csv", "solve.json", "trace.csv")
-GEO_OUTPUTS = ("sweep.csv", "solve.json")
+GEO_OUTPUTS = ("sweep.csv", "solve.json", "threshold_sweep.csv", "trace.csv")
 NUMPY_VERSION = GOLDEN / "geo" / "numpy_version"
 # the README's p_avail sweep with every kind of row, at 2,000 periods
 SPEC = {"variable": "p_avail", "grid": [0.1, 0.3, 0.5, 0.7, 0.9],
         "strategies": ["optimal", "myopic", "genie", "fixed:5"],
         "n_periods": 2000, "seed": 3}
+# threshold rows at p = 0.9 that reach the clear-link law's 99.7th percentile
+GEO_THRESHOLD_GRID = [0.34, 0.9275, 1.515, 2.1025, 2.69]
+GEO_THRESHOLD_SPEC = {"variable": "threshold", "grid": GEO_THRESHOLD_GRID,
+                      "strategies": ["threshold", "optimal", "myopic", "fixed:5"],
+                      "n_periods": 4000, "seed": 3}
 
 
 def run(*commands) -> None:
@@ -40,10 +46,10 @@ def run(*commands) -> None:
         assert res.exit_code == 0, res.output
 
 
-def write_inputs(cfg, work: Path) -> tuple[Path, Path]:
+def write_inputs(cfg, work: Path, spec=SPEC) -> tuple[Path, Path]:
     cfg_path, spec_path = work / f"{cfg.channel_mode}.json", work / "spec.json"
     cfg.to_json(cfg_path)
-    spec_path.write_text(json.dumps(SPEC))
+    spec_path.write_text(json.dumps(spec))
     return cfg_path, spec_path
 
 
@@ -63,6 +69,11 @@ def write_geo_outputs(out: Path, work: Path) -> None:
     cfg_path, spec_path = write_inputs(rp.default_scenario(p_avail=0.5, tau=0.01), work)
     run(["sweep", cfg_path, spec_path, "--out", out / "sweep.csv"],
         ["solve", cfg_path, "--seed", "3", "--out", out / "solve.json"])
+    high = rp.default_scenario(p_avail=0.9)
+    cfg_path, spec_path = write_inputs(high, work, GEO_THRESHOLD_SPEC)
+    run(["sweep", cfg_path, spec_path, "--out", out / "threshold_sweep.csv"])
+    estimate_throughput(ExplicitThreshold(GEO_THRESHOLD_GRID[-1]), high, 200, 3,
+                        trace_path=out / "trace.csv")
 
 
 def test_onoff_outputs_equal_golden(tmp_path):
