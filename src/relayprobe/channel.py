@@ -180,13 +180,32 @@ def default_scenario(p_avail: float = 0.5, tau: float = 0.01, **overrides) -> Sc
     return ScenarioConfig(**base)
 
 
+# the threshold bound splits the relay angle into this many equal bins; a
+# power of two, so int(v * ANGLE_BINS) is the exact bin of v in [0, 1)
+ANGLE_BINS = 1024
+
+
+def _hops(cfg: ScenarioConfig):
+    """(endpoint, tx power, tx gain, rx gain) of the source-relay hop and of
+    the relay-destination hop."""
+    return ((cfg.source_pos, cfg.tx_power_bs, cfg.bf_gain_bs, cfg.bf_gain_dev),
+            (cfg.dest_pos, cfg.tx_power_dev, cfg.bf_gain_dev, cfg.bf_gain_dev))
+
+
+def _noise_dbm(cfg: ScenarioConfig) -> float:
+    return cfg.noise_psd + 10.0 * math.log10(cfg.bandwidth_W) + cfg.noise_figure
+
+
 def _hop_log10_snr(cfg: ScenarioConfig, tx_dbm, g_tx, g_rx, d, shadow_db):
     """log10 of one clear hop's linear SNR: (tx + g_tx + g_rx - pathloss
-    + shadowing - noise) / 10, in dB, with pathloss a + b*log10(d/1km)."""
-    x = cfg.pathloss_a + cfg.pathloss_b * np.log10(d / 1000.0)
+    + shadowing - noise) / 10, in dB, with pathloss a + b*log10(d/1km).
+    Computed in place in d, which it returns."""
+    x = np.log10(np.divide(d, 1000.0, out=d), out=d)
+    x *= cfg.pathloss_b
+    x += cfg.pathloss_a
     np.subtract(float(tx_dbm) + g_tx + g_rx, x, out=x)
     x += shadow_db
-    x -= cfg.noise_psd + 10.0 * math.log10(cfg.bandwidth_W) + cfg.noise_figure
+    x -= _noise_dbm(cfg)
     x /= 10.0
     return x
 
@@ -206,7 +225,77 @@ def _disk_points(u_radius, u_angle, region: RelayRegion):
     return x, y
 
 
-def sample_two_hop_se_batch(rng: np.random.Generator, cfg: ScenarioConfig, n: int):
+def _may_reach(cfg: ScenarioConfig, floor: float, u_radius, u_angle, shadows):
+    """Indices of the dual-clear relays whose rate may reach `floor`, from
+    their draws alone, or None when the bound would keep them all.
+
+    A relay at r = R*sqrt(u), theta = 2*pi*v lies at distance d from a hop
+    endpoint P at distance D and angle phi from the disk centre, with
+    d**2 = r**2 + D**2 - 2*r*D*cos(theta - phi). Over v's angle bin the
+    cosine is at most cmax, so d**2 >= r**2 + D**2 - 2*r*D*cmax, and with
+    b > 0 the hop's SNR in dB is at most K + s - (b/2)*log10(d_low**2/1e6),
+    where K = tx + g_tx + g_rx - a - noise. A relay is kept when both hops'
+    bounds reach the SNR that the floor needs."""
+    if floor > cfg.se_cap:
+        return np.empty(0, np.intp)
+    # rate >= floor needs 1 + 2*snr >= 2**(2*floor); the 1e-12 factors cover
+    # the rounding of 1 + 2*snr, of log2 and of the product by 0.5, so this
+    # target lies below the least snr whose computed rate reaches the floor
+    # (a floor past 500 is bounded by 500's target, which is lower still)
+    snr_min = (2.0 ** (2.0 * min(floor, 500.0) * (1.0 - 1e-12)) * (1.0 - 1e-12) - 1.0) / 2.0
+    (cx, cy), radius, b = cfg.relay_region.center, cfg.relay_region.radius, cfg.pathloss_b
+    if not snr_min > 0.0 or b <= 0.0 or u_radius.size == 0:
+        return None
+    target, noise = 10.0 * math.log10(snr_min), _noise_dbm(cfg)
+    r = np.sqrt(u_radius)
+    r *= radius
+    bins = np.multiply(u_angle, ANGLE_BINS).astype(np.intp)
+    edges = np.arange(ANGLE_BINS + 1) * (2.0 * np.pi / ANGLE_BINS)
+    # the hop with the weaker budget prunes the most, so it sees every relay
+    hops = sorted(zip(_hops(cfg), shadows), key=lambda hop: sum(hop[0][1:]))
+    keep = None
+    for ((px, py), tx, g_tx, g_rx), s in hops:
+        # The exact path's positions, theta = 2*pi*v, the cosines here and
+        # the sum below each err by under 1e-14*(R + D)*z m**2 in d**2,
+        # where z sums the magnitudes of every coordinate; the slack is 100
+        # times that.
+        z = abs(cx) + abs(cy) + radius + abs(px) + abs(py)
+        # Both this bound and the exact link budget err by a few ulps of
+        # their largest term: the config's dB terms, the target, |s| and
+        # |b*log10(d/1km)| (|log10| < 330 for any positive double). A margin
+        # of 1e-9 of their sum is far above both, so a pruned relay's exact
+        # rate is below the floor.
+        size = (1.0 + abs(target) + abs(tx) + abs(g_tx) + abs(g_rx)
+                + abs(cfg.pathloss_a) + abs(noise) + 330.0 * b)
+        if not size + z < 1e150:  # d**2 or the margin could overflow
+            return None
+        if keep is not None:
+            if keep.size == 0:
+                return keep
+            r, bins, s = r[keep], bins[keep], s[keep]
+        margin = 1e-9 * (size + max(s.max(), -s.min()))
+        dist = math.hypot(px - cx, py - cy)
+        phi = math.atan2(py - cy, px - cx) % (2.0 * np.pi)
+        cos_edge = np.cos(edges - phi)
+        cmax = np.maximum(cos_edge[:-1], cos_edge[1:])
+        cmax[min(int(phi / (2.0 * np.pi) * ANGLE_BINS), ANGLE_BINS - 1)] = 1.0
+        # keep where s >= (b/2)*log10(d_low**2) + target - margin - K - 3b
+        d2 = np.take(2.0 * dist * cmax, bins)
+        np.subtract(r, d2, out=d2)
+        d2 *= r
+        d2 += dist * dist - 1e-12 * (radius + dist) * z
+        np.maximum(d2, 0.0, out=d2)
+        with np.errstate(divide="ignore"):  # d_low = 0 bounds nothing
+            cut = np.log10(d2, out=d2)
+        cut *= b / 2.0
+        cut += target - margin - (float(tx) + g_tx + g_rx - cfg.pathloss_a - noise) - 3.0 * b
+        hit = np.flatnonzero(s >= cut)
+        keep = hit if keep is None else keep[hit]
+    return keep
+
+
+def sample_two_hop_se_batch(rng: np.random.Generator, cfg: ScenarioConfig, n: int,
+                            floor: float = 0.0):
     """Vectorized draw of n i.i.d. probes.
 
     Returns (chi1, chi2, se) where chi1/chi2 are 0/1 availability indicators
@@ -216,6 +305,12 @@ def sample_two_hop_se_batch(rng: np.random.Generator, cfg: ScenarioConfig, n: in
     for the k dual-clear relays only (a share p_avail**2) the two position
     uniforms, shadow1 and shadow2. A blocked relay's rate is 0 whatever its
     position and shadowing, so those are never drawn for it.
+
+    A caller that needs only the rates that reach `floor` passes it: every
+    rate >= floor is exactly the floor-0 rate, and every other rate is below
+    the floor, 0 unless the relay was kept. The draws and the generator's
+    state after the call do not depend on the floor. A bound from the draws
+    alone (`_may_reach`) picks the relays that get the exact link budget.
     """
     chi1 = (rng.random(n) < cfg.p_avail).astype(np.int8)
     chi2 = (rng.random(n) < cfg.p_avail).astype(np.int8)
@@ -227,20 +322,30 @@ def sample_two_hop_se_batch(rng: np.random.Generator, cfg: ScenarioConfig, n: in
     k = np.count_nonzero(both)
     clear = slice(None) if k == n else np.flatnonzero(both)
     del both
-    x, y = _disk_points(rng.random(k), rng.random(k), cfg.relay_region)
-    d = np.hypot(x - cfg.source_pos[0], y - cfg.source_pos[1])
-    e1 = _hop_log10_snr(cfg, cfg.tx_power_bs, cfg.bf_gain_bs, cfg.bf_gain_dev,
-                        d, rng.normal(0.0, cfg.shadow_sigma, k))
-    np.subtract(cfg.dest_pos[0], x, out=x)
-    np.subtract(cfg.dest_pos[1], y, out=y)
-    np.hypot(x, y, out=d)
-    del x, y
-    e2 = _hop_log10_snr(cfg, cfg.tx_power_dev, cfg.bf_gain_dev, cfg.bf_gain_dev,
-                        d, rng.normal(0.0, cfg.shadow_sigma, k))
-    del d
+    u_radius, u_angle = rng.random(k), rng.random(k)
+    shadow1 = rng.normal(0.0, cfg.shadow_sigma, k)
+    shadow2 = rng.normal(0.0, cfg.shadow_sigma, k)
+    keep = _may_reach(cfg, floor, u_radius, u_angle, (shadow1, shadow2))
+    if keep is not None:
+        u_radius, u_angle, shadow1, shadow2 = (
+            u_radius[keep], u_angle[keep], shadow1[keep], shadow2[keep])
+        clear = keep if k == n else clear[keep]
+    # each step reuses a buffer, so the peak stays near 50 bytes per relay
+    x, y = _disk_points(u_radius, u_angle, cfg.relay_region)
+    del u_radius, u_angle
+    (src, *hop1), (dst, *hop2) = _hops(cfg)
+    d = np.subtract(x, src[0])
+    dy = np.subtract(y, src[1])
+    e1 = _hop_log10_snr(cfg, *hop1, np.hypot(d, dy, out=d), shadow1)
+    del dy, shadow1
+    np.subtract(x, dst[0], out=x)
+    np.subtract(y, dst[1], out=y)
+    e2 = _hop_log10_snr(cfg, *hop2, np.hypot(x, y, out=x), shadow2)
+    del y, shadow2
     # 10**x is increasing, so the weaker hop is picked before the one power;
     # half-duplex DF: 0.5*log2(1 + 2*SNR), each hop using half the time
     snr = np.power(10.0, np.minimum(e1, e2, out=e1), out=e1)
+    del e2
     se = np.zeros(n)
     se[clear] = np.minimum(0.5 * np.log2(1.0 + 2.0 * snr), cfg.se_cap)
     return chi1, chi2, se

@@ -50,8 +50,9 @@ class SweepSpec:
             raise ValueError("grid must be strictly increasing")
         if len(self.strategies) == 0:
             raise ValueError("strategies must be nonempty")
-        if self.n_periods < simulator.N_BATCHES:
-            raise ValueError(f"n_periods must be >= {simulator.N_BATCHES}")
+        if not simulator.N_BATCHES <= self.n_periods <= simulator.MAX_PERIODS:
+            raise ValueError(f"n_periods must be in [{simulator.N_BATCHES}, "
+                             f"{simulator.MAX_PERIODS}]")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -208,7 +209,7 @@ def sweep(config_path, sweep_spec_path, out_csv, workers):
               callback=_out_dir_exists)
 @click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--periods", default=10 ** 5, show_default=True,
-              type=click.IntRange(min=simulator.N_BATCHES))
+              type=click.IntRange(simulator.N_BATCHES, simulator.MAX_PERIODS))
 @click.option("--workers", default=1, show_default=True, type=click.IntRange(min=1))
 def figure(config_path, figure_id, out_csv, seed, periods, workers):
     """Run a canonical figure sweep and emit plot-ready CSV.

@@ -35,6 +35,9 @@ _DIST_STREAM_ID = 2 ** 31
 LAW_SAMPLES = 10 ** 6
 # a period that probes more relays than this ends in RunawayPeriodError
 MAX_PROBES = 10 ** 6
+# periods in one simulation: PeriodArrays holds 32 bytes per period, about
+# 0.6 GB at this bound with the concatenation copy
+MAX_PERIODS = 10 ** 7
 # batch-means error bars split the periods into this many batches
 N_BATCHES = 30
 
@@ -146,7 +149,8 @@ def _simulate_chunk(policy, cfg, seed, chunk_index, n_periods):
                 f"no stop within {MAX_PROBES} probes; threshold above support?")
         left = n_periods - n_done
         size = beta * min(max(1, BLOCK_PROBES // beta), left) if beta else BLOCK_PROBES
-        chi1, _, se = _channel.sample_two_hop_se_batch(rng, cfg, size)
+        chi1, _, se = _channel.sample_two_hop_se_batch(
+            rng, cfg, size, 0.0 if beta else policy.rho)
         if beta:
             stops = np.arange(beta - 1, size, beta)
             best = np.maximum.reduceat(se, stops - (beta - 1))
@@ -174,8 +178,8 @@ def _simulate_chunk(policy, cfg, seed, chunk_index, n_periods):
 def simulate_periods(policy: StoppingPolicy, cfg: ScenarioConfig, n_periods: int,
                      seed: int, workers: int = 1) -> PeriodArrays:
     """Simulate n_periods independent periods, bit-identical for any workers."""
-    if n_periods < 1:
-        raise ValueError("n_periods must be >= 1")
+    if not 1 <= n_periods <= MAX_PERIODS:
+        raise ValueError(f"n_periods must be in [1, {MAX_PERIODS}]")
     policy = resolve_policy(policy, cfg, seed)
     n_chunks = (n_periods + CHUNK_PERIODS - 1) // CHUNK_PERIODS
     sizes = [min(CHUNK_PERIODS, n_periods - i * CHUNK_PERIODS) for i in range(n_chunks)]

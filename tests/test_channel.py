@@ -5,9 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 import relayprobe as rp
+from relayprobe import channel
 from relayprobe.channel import (ConfigError, RelayRegion, ScenarioConfig,
                                 _disk_points, _hop_log10_snr,
                                 sample_two_hop_se_batch)
@@ -262,6 +264,103 @@ class TestRelaySampling:
         pos = sample_relay_positions(rng, cfg, 20000)
         r = np.hypot(pos[:, 0], pos[:, 1]) / cfg.relay_region.radius
         assert stats.kstest(r, lambda x: x ** 2).pvalue > 0.01
+
+
+@st.composite
+def floor_cases(draw):
+    """A geometric config the CLI accepts, with endpoints inside or outside
+    the relay disk, 0-20 dB shadowing, a se_cap that may bind and any
+    pathloss slope, b <= 0 included; then a stream seed and a block size."""
+    radius = draw(st.sampled_from([1.0, 50.0, 250.0, 1000.0]))
+    center = draw(st.tuples(st.floats(-300, 300), st.floats(-300, 300)))
+
+    def endpoint():
+        angle = draw(st.floats(0.0, 2 * math.pi))
+        # inside the disk below 1, outside above; 0 is the centre itself
+        rel = draw(st.sampled_from([0.0, 0.3, 0.99, 1.01, 3.0]))
+        return (center[0] + rel * radius * math.cos(angle),
+                center[1] + rel * radius * math.sin(angle))
+
+    src, dst = endpoint(), endpoint()
+    if src == dst:
+        dst = (dst[0] + radius, dst[1])
+    cfg = rp.default_scenario(
+        p_avail=draw(st.sampled_from([1.0, 0.9, 0.3])), source_pos=src, dest_pos=dst,
+        relay_region=RelayRegion(center, radius),
+        shadow_sigma=draw(st.sampled_from([0.0, 0.5, 7.0, 20.0])),
+        se_cap=draw(st.sampled_from([0.5, 2.0, 8.0])),
+        pathloss_b=draw(st.sampled_from([20.0, 35.0, 2.0, 0.0, -5.0])),
+        tx_power_dev=draw(st.floats(-20.0, 40.0)))
+    return cfg, draw(st.integers(0, 2 ** 32 - 1)), draw(st.integers(0, 3000))
+
+
+class TestRateFloor:
+    """`sample_two_hop_se_batch(..., floor)` runs the exact link budget only
+    on relays whose bound can reach the floor; it must leave the draws, the
+    generator and every rate >= floor exactly as a floor-0 call does."""
+
+    @given(case=floor_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_floor_contract(self, case):
+        cfg, seed, n = case
+        rng = np.random.default_rng(seed)
+        chi1, chi2, se0 = sample_two_hop_se_batch(rng, cfg, n)
+        state = rng.bit_generator.state
+        drawn = se0[se0 > 0.0]
+        floors = [0.0, math.ulp(0.0), cfg.se_cap, math.nextafter(cfg.se_cap, math.inf)]
+        if drawn.size:
+            floors += [float(np.quantile(drawn, 0.99)), float(drawn.min()),
+                       float(drawn.max()), float(drawn[drawn.size // 2]),
+                       math.nextafter(float(drawn.min()), 0.0)]
+        for floor in floors:
+            rng = np.random.default_rng(seed)
+            got = sample_two_hop_se_batch(rng, cfg, n, floor)
+            assert np.array_equal(got[0], chi1) and np.array_equal(got[1], chi2)
+            assert rng.bit_generator.state == state
+            reached = se0 >= floor
+            assert np.array_equal(got[2][reached], se0[reached]), floor
+            assert np.all(got[2][~reached] < floor), floor
+
+    @pytest.mark.parametrize("j", [3, 700])
+    def test_relay_at_an_endpoint_is_kept(self, j):
+        # a relay in the angle bin that holds the destination's direction
+        # can sit on it, so that bin bounds the distance below by 0, not by
+        # its edges; the weak relay-destination hop makes that bound decide
+        bins = channel.ANGLE_BINS
+        phi = 2 * math.pi * (j + 0.5) / bins
+        cfg = rp.default_scenario(p_avail=1.0, shadow_sigma=0.0, tx_power_dev=-40.0,
+                                  dest_pos=(250.0 * math.cos(phi), 250.0 * math.sin(phi)))
+        u, v = np.array([1.0 - 2.0 ** -53]), np.array([(j + 0.5) / bins])
+        pos = np.column_stack(_disk_points(u.copy(), v.copy(), cfg.relay_region))
+        d1 = np.hypot(*(pos - cfg.source_pos).T)
+        d2 = np.hypot(*(pos - cfg.dest_pos).T)
+        s1 = ref_snr(cfg.tx_power_bs, cfg.bf_gain_bs, cfg.bf_gain_dev, d1, 0.0, cfg)
+        s2 = ref_snr(cfg.tx_power_dev, cfg.bf_gain_dev, cfg.bf_gain_dev, d2, 0.0, cfg)
+        rate = ref_two_hop_se(s1, s2, cfg)
+        assert rate[0] > 1.0
+        keep = channel._may_reach(cfg, 1.0, u, v, (np.zeros(1), np.zeros(1)))
+        assert keep.tolist() == [0]
+
+    def test_exact_budget_runs_only_near_accepted_relays(self, monkeypatch):
+        # at p = 0.9 and the clear law's q99, the relays that get the exact
+        # link budget are at most 1.1 times those accepted, so a bound that
+        # silently kept every relay fails here
+        cfg = rp.default_scenario(p_avail=0.9)
+        law = build_empirical(cfg, 10 ** 5, np.random.default_rng(7))
+        floor = float(np.quantile(law.samples, 0.99))
+        budgeted = []
+        hop = channel._hop_log10_snr
+
+        def counted(cfg, tx_dbm, g_tx, g_rx, d, shadow_db):
+            budgeted.append(d.size)
+            return hop(cfg, tx_dbm, g_tx, g_rx, d, shadow_db)
+
+        monkeypatch.setattr(channel, "_hop_log10_snr", counted)
+        _, _, se = sample_two_hop_se_batch(np.random.default_rng(8), cfg, 10 ** 6, floor)
+        accepted = np.count_nonzero(se >= floor)
+        assert accepted > 1000
+        # each kept relay runs the budget once per hop
+        assert sum(budgeted) / 2 <= 1.1 * accepted
 
 
 class TestScenarioConfig:

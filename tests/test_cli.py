@@ -85,6 +85,9 @@ class TestSweepSpec:
         {"seed": True},
         # ints too large for a float
         {"n_periods": 10 ** 400},
+        # past MAX_PERIODS: a float-range integer would never finish
+        {"n_periods": 10 ** 7 + 1},
+        {"n_periods": 10 ** 300},
         {"grid": (10 ** 400,)},
     ])
     def test_validation(self, patch):
@@ -243,6 +246,9 @@ class TestSweepCommand:
         '{"variable": "p_avail", "grid": [0.5], "strategies": [5], "n_periods": 100}',
         '{"variable": "p_avail", "grid": [0.5], "strategies": ["myopic"], "n_periods": null}',
         '{"variable": "p_avail", "grid": [0.5], "strategies": ["myopic"], "n_periods": 100, "seed": 1.5}',
+        # within float range but past MAX_PERIODS
+        '{"variable": "p_avail", "grid": [0.5], "strategies": ["myopic"], "n_periods": 1%s}'
+        % ("0" * 300),
         # an int too large for a float
         '{"variable": "p_avail", "grid": [0.5, 1%s], "strategies": ["myopic"], "n_periods": 100}'
         % ("0" * 400),
@@ -352,12 +358,14 @@ class TestFigureCommand:
     (["figure", "{cfg}", "--figure-id", "strategy_vs_p", "--out", "{out}",
       "--periods", "10"], "--periods"),
     (["figure", "{cfg}", "--figure-id", "strategy_vs_p", "--out", "{out}",
+      "--periods", "10000001"], "--periods"),
+    (["figure", "{cfg}", "--figure-id", "strategy_vs_p", "--out", "{out}",
       "--seed", "-1"], "--seed"),
     (["solve", "{cfg}", "--seed", "-1"], "--seed"),
     (["figure", "{cfg}", "--figure-id", "strategy_vs_p", "--out", "{out}",
       "--workers", "0"], "--workers"),
     (["sweep", "{cfg}", "{cfg}", "--out", "{out}", "--workers", "-2"], "--workers"),
-], ids=["figure-periods", "figure-seed", "solve-seed", "figure-workers",
+], ids=["figure-periods", "figure-periods-max", "figure-seed", "solve-seed", "figure-workers",
         "sweep-workers"])
 def test_integer_options_range_checked(runner, geo_cfg_path, tmp_path, args, option):
     out = str(tmp_path / "o.csv")

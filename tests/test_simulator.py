@@ -196,6 +196,17 @@ class TestRunPeriod:
             simulate_periods(MYOPIC, cfg, 100, 0)
 
 
+def test_period_count_bounded_before_drawing(monkeypatch):
+    # a count past MAX_PERIODS is refused before any chunk list or draw
+    def no_draw(*args):
+        raise AssertionError("drew probes")
+
+    monkeypatch.setattr(simulator._channel, "sample_two_hop_se_batch", no_draw)
+    for n in (simulator.MAX_PERIODS + 1, 10 ** 300):
+        with pytest.raises(ValueError, match="n_periods"):
+            simulate_periods(MYOPIC, rp.default_scenario(), n, 0)
+
+
 class TestResolvePolicy:
     def test_onoff_uses_closed_form(self):
         from relayprobe.solver import closed_form_onoff
@@ -549,7 +560,7 @@ class TestStreamedEngine:
         se = np.zeros(3 * BLOCK_PROBES)
         se[stops] = 1.0
 
-        def scripted(rng, cfg, n):
+        def scripted(rng, cfg, n, floor=0.0):
             k = scripted.drawn
             scripted.drawn += n
             return np.ones(n, np.int8), np.ones(n, np.int8), se[k:k + n]
@@ -572,7 +583,8 @@ class TestStreamedEngine:
         se = np.zeros(BLOCK_PROBES)
         se[[5, 10]] = 1.0
         monkeypatch.setattr(simulator._channel, "sample_two_hop_se_batch",
-                            lambda rng, cfg, n: (np.ones(n, np.int8), np.ones(n, np.int8), se))
+                            lambda rng, cfg, n, floor=0.0: (np.ones(n, np.int8),
+                                                            np.ones(n, np.int8), se))
         monkeypatch.setattr(simulator, "MAX_PROBES", 100)
         got = simulator._simulate_chunk(MYOPIC, onoff_cfg(), 0, 0, 2)
         assert got.n_probed.tolist() == [6, 5]
