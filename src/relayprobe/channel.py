@@ -12,6 +12,7 @@ worker owns its own generator.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -180,9 +181,16 @@ def default_scenario(p_avail: float = 0.5, tau: float = 0.01, **overrides) -> Sc
     return ScenarioConfig(**base)
 
 
-# the threshold bound splits the relay angle into this many equal bins; a
-# power of two, so int(v * ANGLE_BINS) is the exact bin of v in [0, 1)
+# the threshold bound splits the relay angle into this many equal bins and
+# the radius into this many bins equal in u, where r = R*sqrt(u); powers of
+# two, so int(v * ANGLE_BINS) and int(u * RADIUS_BINS) are the exact bins
 ANGLE_BINS = 1024
+RADIUS_BINS = 32
+# relays per block: the engine draws its probe stream in blocks of this many
+# (rounded down to whole periods for a fixed count), and the sampler runs the
+# exact link budget on at most this many at a time, so its temporaries stay
+# in cache and do not grow with the draw
+BLOCK_PROBES = 1 << 14
 
 
 def _hops(cfg: ScenarioConfig):
@@ -225,38 +233,31 @@ def _disk_points(u_radius, u_angle, region: RelayRegion):
     return x, y
 
 
-def _may_reach(cfg: ScenarioConfig, floor: float, u_radius, u_angle, shadows):
-    """Indices of the dual-clear relays whose rate may reach `floor`, from
-    their draws alone, or None when the bound would keep them all.
+@functools.lru_cache(maxsize=1)
+def _bound_plan(region: RelayRegion, hops, noise: float, a: float, b: float):
+    """Per hop, the weaker budget first (it prunes the most): (shadow index,
+    table, K + 3b, size), or None when d**2 or the margin could overflow.
+    Keyed on geometry and radio fields only, so a p_avail or tau sweep
+    builds it once.
 
-    A relay at r = R*sqrt(u), theta = 2*pi*v lies at distance d from a hop
-    endpoint P at distance D and angle phi from the disk centre, with
-    d**2 = r**2 + D**2 - 2*r*D*cos(theta - phi). Over v's angle bin the
-    cosine is at most cmax, so d**2 >= r**2 + D**2 - 2*r*D*cmax, and with
-    b > 0 the hop's SNR in dB is at most K + s - (b/2)*log10(d_low**2/1e6),
-    where K = tx + g_tx + g_rx - a - noise. A relay is kept when both hops'
-    bounds reach the SNR that the floor needs."""
-    if floor > cfg.se_cap:
-        return np.empty(0, np.intp)
-    # rate >= floor needs 1 + 2*snr >= 2**(2*floor); the 1e-12 factors cover
-    # the rounding of 1 + 2*snr, of log2 and of the product by 0.5, so this
-    # target lies below the least snr whose computed rate reaches the floor
-    # (a floor past 500 is bounded by 500's target, which is lower still)
-    snr_min = (2.0 ** (2.0 * min(floor, 500.0) * (1.0 - 1e-12)) * (1.0 - 1e-12) - 1.0) / 2.0
-    (cx, cy), radius, b = cfg.relay_region.center, cfg.relay_region.radius, cfg.pathloss_b
-    if not snr_min > 0.0 or b <= 0.0 or u_radius.size == 0:
-        return None
-    target, noise = 10.0 * math.log10(snr_min), _noise_dbm(cfg)
-    r = np.sqrt(u_radius)
-    r *= radius
-    bins = np.multiply(u_angle, ANGLE_BINS).astype(np.intp)
+    A relay at r = R*sqrt(u), theta = 2*pi*v has d**2 = r**2 + D**2 -
+    2*r*D*cos(theta - phi) to an endpoint at distance D and angle phi from
+    the disk centre. Over a cell the cosine is at most cmax (its angle bin)
+    and r lies in [r_lo, r_hi] (its radius bin), so d**2 is at least the
+    quadratic's value at r = clip(D*cmax, r_lo, r_hi). The table holds
+    (b/2)*log10 of that, and with b > 0 the hop's SNR in dB is at most
+    K + s - table - 3b, where K = tx + g_tx + g_rx - a - noise."""
+    (cx, cy), radius = region.center, region.radius
+    # the exact path's r = R*sqrt(u) rounds monotonically in u, so it lies
+    # between the same products at the bin's edges
+    r_edges = radius * np.sqrt(np.arange(RADIUS_BINS + 1) / RADIUS_BINS)
+    r_lo, r_hi = r_edges[:-1, None], r_edges[1:, None]
     edges = np.arange(ANGLE_BINS + 1) * (2.0 * np.pi / ANGLE_BINS)
-    # the hop with the weaker budget prunes the most, so it sees every relay
-    hops = sorted(zip(_hops(cfg), shadows), key=lambda hop: sum(hop[0][1:]))
-    keep = None
-    for ((px, py), tx, g_tx, g_rx), s in hops:
+    plan = []
+    for i in sorted(range(2), key=lambda i: sum(hops[i][1:])):
+        (px, py), tx, g_tx, g_rx = hops[i]
         # The exact path's positions, theta = 2*pi*v, the cosines here and
-        # the sum below each err by under 1e-14*(R + D)*z m**2 in d**2,
+        # the sums below each err by under 1e-14*(R + D)*z m**2 in d**2,
         # where z sums the magnitudes of every coordinate; the slack is 100
         # times that.
         z = abs(cx) + abs(cy) + radius + abs(px) + abs(py)
@@ -264,31 +265,62 @@ def _may_reach(cfg: ScenarioConfig, floor: float, u_radius, u_angle, shadows):
         # their largest term: the config's dB terms, the target, |s| and
         # |b*log10(d/1km)| (|log10| < 330 for any positive double). A margin
         # of 1e-9 of their sum is far above both, so a pruned relay's exact
-        # rate is below the floor.
-        size = (1.0 + abs(target) + abs(tx) + abs(g_tx) + abs(g_rx)
-                + abs(cfg.pathloss_a) + abs(noise) + 330.0 * b)
-        if not size + z < 1e150:  # d**2 or the margin could overflow
+        # rate is below the floor. Any target is below 1e4 dB, too small to
+        # move this guard.
+        size = (1.0 + abs(tx) + abs(g_tx) + abs(g_rx) + abs(a) + abs(noise)
+                + 330.0 * b)
+        if not size + z < 1e150:
             return None
-        if keep is not None:
-            if keep.size == 0:
-                return keep
-            r, bins, s = r[keep], bins[keep], s[keep]
-        margin = 1e-9 * (size + max(s.max(), -s.min()))
         dist = math.hypot(px - cx, py - cy)
         phi = math.atan2(py - cy, px - cx) % (2.0 * np.pi)
         cos_edge = np.cos(edges - phi)
         cmax = np.maximum(cos_edge[:-1], cos_edge[1:])
         cmax[min(int(phi / (2.0 * np.pi) * ANGLE_BINS), ANGLE_BINS - 1)] = 1.0
-        # keep where s >= (b/2)*log10(d_low**2) + target - margin - K - 3b
-        d2 = np.take(2.0 * dist * cmax, bins)
-        np.subtract(r, d2, out=d2)
-        d2 *= r
+        r = np.clip(dist * cmax, r_lo, r_hi)
+        d2 = r * (r - 2.0 * dist * cmax)
         d2 += dist * dist - 1e-12 * (radius + dist) * z
         np.maximum(d2, 0.0, out=d2)
         with np.errstate(divide="ignore"):  # d_low = 0 bounds nothing
-            cut = np.log10(d2, out=d2)
-        cut *= b / 2.0
-        cut += target - margin - (float(tx) + g_tx + g_rx - cfg.pathloss_a - noise) - 3.0 * b
+            table = np.log10(d2, out=d2).ravel()
+        table *= b / 2.0
+        table.flags.writeable = False  # every caller shares the memoized plan
+        plan.append((i, table, float(tx) + g_tx + g_rx - a - noise + 3.0 * b, size))
+    return tuple(plan)
+
+
+def _may_reach(cfg: ScenarioConfig, floor: float, u_radius, u_angle, shadows):
+    """Indices of the dual-clear relays whose rate may reach `floor`, from
+    their draws alone, or None when the bound would keep them all. A relay
+    is kept when both hops' bounds (`_bound_plan`) reach the SNR that the
+    floor needs: one table cell, one take and one compare per hop."""
+    if floor > cfg.se_cap:
+        return np.empty(0, np.intp)
+    # rate >= floor needs 1 + 2*snr >= 2**(2*floor); the 1e-12 factors cover
+    # the rounding of 1 + 2*snr, of log2 and of the product by 0.5, so this
+    # target lies below the least snr whose computed rate reaches the floor
+    # (a floor past 500 is bounded by 500's target, which is lower still)
+    snr_min = (2.0 ** (2.0 * min(floor, 500.0) * (1.0 - 1e-12)) * (1.0 - 1e-12) - 1.0) / 2.0
+    b = cfg.pathloss_b
+    if not snr_min > 0.0 or b <= 0.0 or u_radius.size == 0:
+        return None
+    plan = _bound_plan(cfg.relay_region, _hops(cfg), _noise_dbm(cfg), cfg.pathloss_a, b)
+    if plan is None:
+        return None
+    target = 10.0 * math.log10(snr_min)
+    cell = np.multiply(u_radius, RADIUS_BINS).astype(np.intp)
+    cell *= ANGLE_BINS
+    cell += np.multiply(u_angle, ANGLE_BINS).astype(np.intp)
+    keep = None
+    for i, table, offset, size in plan:
+        s = shadows[i]
+        if keep is not None:
+            if keep.size == 0:
+                return keep
+            cell, s = cell[keep], s[keep]
+        margin = 1e-9 * (size + abs(target) + max(s.max(), -s.min()))
+        # keep where s >= table + target - margin - K - 3b
+        cut = np.take(table, cell)
+        cut += target - margin - offset
         hit = np.flatnonzero(s >= cut)
         keep = hit if keep is None else keep[hit]
     return keep
@@ -312,40 +344,43 @@ def sample_two_hop_se_batch(rng: np.random.Generator, cfg: ScenarioConfig, n: in
     state after the call do not depend on the floor. A bound from the draws
     alone (`_may_reach`) picks the relays that get the exact link budget.
     """
-    chi1 = (rng.random(n) < cfg.p_avail).astype(np.int8)
-    chi2 = (rng.random(n) < cfg.p_avail).astype(np.int8)
-    both = chi1 & chi2
+    clear1 = rng.random(n) < cfg.p_avail
+    clear2 = rng.random(n) < cfg.p_avail
+    both = clear1 & clear2
+    # the indicators are int8 views of the comparisons, not copies
+    chi1, chi2 = clear1.view(np.int8), clear2.view(np.int8)
     if cfg.channel_mode == "onoff":
-        return chi1, chi2, np.where(both.astype(bool), cfg.se_cap, 0.0)
+        return chi1, chi2, np.where(both, cfg.se_cap, 0.0)
 
     # when every relay is clear the rates need no scatter through an index
     k = np.count_nonzero(both)
-    clear = slice(None) if k == n else np.flatnonzero(both)
+    clear = None if k == n else np.flatnonzero(both)
     del both
     u_radius, u_angle = rng.random(k), rng.random(k)
     shadow1 = rng.normal(0.0, cfg.shadow_sigma, k)
     shadow2 = rng.normal(0.0, cfg.shadow_sigma, k)
     keep = _may_reach(cfg, floor, u_radius, u_angle, (shadow1, shadow2))
-    if keep is not None:
-        u_radius, u_angle, shadow1, shadow2 = (
-            u_radius[keep], u_angle[keep], shadow1[keep], shadow2[keep])
-        clear = keep if k == n else clear[keep]
-    # each step reuses a buffer, so the peak stays near 50 bytes per relay
-    x, y = _disk_points(u_radius, u_angle, cfg.relay_region)
-    del u_radius, u_angle
     (src, *hop1), (dst, *hop2) = _hops(cfg)
-    d = np.subtract(x, src[0])
-    dy = np.subtract(y, src[1])
-    e1 = _hop_log10_snr(cfg, *hop1, np.hypot(d, dy, out=d), shadow1)
-    del dy, shadow1
-    np.subtract(x, dst[0], out=x)
-    np.subtract(y, dst[1], out=y)
-    e2 = _hop_log10_snr(cfg, *hop2, np.hypot(x, y, out=x), shadow2)
-    del y, shadow2
-    # 10**x is increasing, so the weaker hop is picked before the one power;
-    # half-duplex DF: 0.5*log2(1 + 2*SNR), each hop using half the time
-    snr = np.power(10.0, np.minimum(e1, e2, out=e1), out=e1)
-    del e2
     se = np.zeros(n)
-    se[clear] = np.minimum(0.5 * np.log2(1.0 + 2.0 * snr), cfg.se_cap)
+    for lo in range(0, k if keep is None else keep.size, BLOCK_PROBES):
+        # views of the draws when all are kept; each step reuses a buffer
+        at = slice(lo, lo + BLOCK_PROBES) if keep is None else keep[lo:lo + BLOCK_PROBES]
+        u = u_radius[at]
+        x, y = _disk_points(u, u_angle[at], cfg.relay_region)
+        dy = np.subtract(y, src[1])
+        d = np.hypot(np.subtract(x, src[0], out=u), dy, out=u)
+        del dy
+        e1 = _hop_log10_snr(cfg, *hop1, d, shadow1[at])
+        np.subtract(x, dst[0], out=x)
+        np.subtract(y, dst[1], out=y)
+        e2 = _hop_log10_snr(cfg, *hop2, np.hypot(x, y, out=x), shadow2[at])
+        # 10**x is increasing, so the weaker hop is picked before the one
+        # power; half-duplex DF: 0.5*log2(1 + 2*SNR), each hop using half
+        # the time
+        rate = np.power(10.0, np.minimum(e1, e2, out=e1), out=e1)
+        rate *= 2.0
+        rate += 1.0
+        np.log2(rate, out=rate)
+        rate *= 0.5
+        se[at if clear is None else clear[at]] = np.minimum(rate, cfg.se_cap, out=rate)
     return chi1, chi2, se

@@ -22,12 +22,9 @@ import numpy as np
 from . import channel as _channel
 from . import sedist as _sedist
 from . import solver as _solver
-from .channel import ScenarioConfig, check_number
+from .channel import BLOCK_PROBES, ScenarioConfig, check_number
 
 CHUNK_PERIODS = 4096
-# a chunk draws its probe stream in blocks of this many relays, rounded
-# down to whole periods for FixedBeta
-BLOCK_PROBES = 1 << 14
 # one substream id reserved for drawing the clear-link rate law that an
 # OptimalThreshold policy is resolved on
 _DIST_STREAM_ID = 2 ** 31
@@ -238,10 +235,13 @@ def estimate_throughput(policy: StoppingPolicy, cfg: ScenarioConfig,
 
 
 def write_trace_csv(path, arrays: PeriodArrays) -> None:
-    """One row per period, floats written as repr, in csv's \\r\\n dialect."""
-    columns = (arrays.n_probed.tolist(), arrays.period_time.tolist(),
-               arrays.bits.tolist(), arrays.selected_se.tolist())
+    """One row per period, floats written as repr, in csv's \\r\\n dialect.
+    Rows are formatted CHUNK_PERIODS at a time, so memory stays bounded."""
     with open(path, "w", newline="") as f:
         f.write("period_index,n_probed,period_time_s,bits,selected_se\r\n")
-        f.writelines(f"{i},{n},{t!r},{b!r},{r!r}\r\n"
-                     for i, (n, t, b, r) in enumerate(zip(*columns)))
+        for lo in range(0, arrays.bits.size, CHUNK_PERIODS):
+            part = slice(lo, lo + CHUNK_PERIODS)
+            columns = (arrays.n_probed[part].tolist(), arrays.period_time[part].tolist(),
+                       arrays.bits[part].tolist(), arrays.selected_se[part].tolist())
+            f.writelines(f"{i},{n},{t!r},{b!r},{r!r}\r\n"
+                         for i, (n, t, b, r) in enumerate(zip(*columns), lo))

@@ -5,11 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import stats
 
 import relayprobe as rp
-from relayprobe import channel
+from relayprobe import channel, cli, simulator
 from relayprobe.channel import (ConfigError, RelayRegion, ScenarioConfig,
                                 _disk_points, _hop_log10_snr,
                                 sample_two_hop_se_batch)
@@ -216,7 +216,9 @@ class TestRelaySampling:
 
     def test_all_clear_draw_needs_no_index(self):
         # when every relay is clear the rates are written without a scatter
-        # index: 50 bytes per relay at the peak, 58 with an int64 index
+        # index: the draws, the indicators and the rates hold 42 bytes per
+        # relay, and the link budget's two slice buffers add 1.3 at this n
+        # (44 measured); an int64 index would add 8
         cfg = rp.default_scenario(p_avail=1.0)
         n = 2 * 10 ** 5
         sample_two_hop_se_batch(np.random.default_rng(0), cfg, 1000)
@@ -226,7 +228,7 @@ class TestRelaySampling:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 54 * n
+        assert peak < 46 * n
 
     def test_first_hop_blockage_fraction(self):
         cfg = rp.default_scenario(p_avail=0.5)
@@ -340,6 +342,53 @@ class TestRateFloor:
         assert rate[0] > 1.0
         keep = channel._may_reach(cfg, 1.0, u, v, (np.zeros(1), np.zeros(1)))
         assert keep.tolist() == [0]
+
+    @given(case=floor_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_table_bounds_every_relay(self, case):
+        # each relay's table entry is at most (b/2)*log10 of its exact d**2
+        # to each hop's endpoint, at random draws and at the edge cases: the
+        # angle bin holding each endpoint (its direction and both edges), u
+        # near 0, at the top of each radius bin and u = 1 - 2**-53
+        cfg, seed, _ = case
+        assume(cfg.pathloss_b > 0.0)
+        hops = channel._hops(cfg)
+        plan = channel._bound_plan(cfg.relay_region, hops, channel._noise_dbm(cfg),
+                                   cfg.pathloss_a, cfg.pathloss_b)
+        rng = np.random.default_rng(seed)
+        (cx, cy), radius = cfg.relay_region.center, cfg.relay_region.radius
+        us = [0.0, 2.0 ** -1074, 1e-300, 2.0 ** -53, 1.0 - 2.0 ** -53]
+        us += list(np.nextafter(np.arange(1, channel.RADIUS_BINS) / channel.RADIUS_BINS, 0.0))
+        vs = [0.0, 1.0 - 2.0 ** -53]
+        for (px, py), *_ in hops:
+            us.append(min((math.hypot(px - cx, py - cy) / radius) ** 2, 1.0 - 2.0 ** -53))
+            v = min(math.atan2(py - cy, px - cx) % (2 * math.pi) / (2 * math.pi),
+                    1.0 - 2.0 ** -53)
+            j = int(v * channel.ANGLE_BINS)
+            vs += [v, j / channel.ANGLE_BINS,
+                   math.nextafter((j + 1) / channel.ANGLE_BINS, 0.0)]
+        u = np.concatenate([np.repeat(us, len(vs)), rng.random(2000)])
+        v = np.concatenate([np.tile(vs, len(us)), rng.random(2000)])
+        cell = ((u * channel.RADIUS_BINS).astype(np.intp) * channel.ANGLE_BINS
+                + (v * channel.ANGLE_BINS).astype(np.intp))
+        x, y = _disk_points(u.copy(), v.copy(), cfg.relay_region)
+        for i, table, _, _ in plan:
+            (px, py), *_ = hops[i]
+            with np.errstate(divide="ignore"):
+                exact = cfg.pathloss_b / 2.0 * np.log10(np.hypot(x - px, y - py) ** 2)
+            assert np.all(table[cell] <= exact)
+
+    def test_p_sweep_builds_the_plan_once(self, monkeypatch):
+        # the plan is keyed on geometry and radio fields only, so a ten-point
+        # p_avail sweep of threshold rows builds it once
+        monkeypatch.setattr(simulator, "LAW_SAMPLES", 1000)
+        channel._bound_plan.cache_clear()
+        spec = cli.SweepSpec("p_avail", tuple(np.linspace(0.1, 1.0, 10)),
+                             ("optimal", "myopic"), 60, 3)
+        rows = cli.sweep_rows(rp.default_scenario(), spec)
+        assert [r[-1] for r in rows] == [""] * 20
+        assert channel._bound_plan.cache_info().misses == 1
+        channel._bound_plan.cache_clear()
 
     def test_exact_budget_runs_only_near_accepted_relays(self, monkeypatch):
         # at p = 0.9 and the clear law's q99, the relays that get the exact

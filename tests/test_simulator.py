@@ -686,14 +686,17 @@ class TestTraceCsv:
 
     @pytest.mark.parametrize("policy", [MYOPIC, FixedBeta(3)])
     def test_bytes_equal_csv_writer(self, tmp_path, policy):
-        arrays = simulate_periods(policy, rp.default_scenario(p_avail=0.7), 500, 6)
-        path = tmp_path / "trace.csv"
-        simulator.write_trace_csv(path, arrays)
-        ref = tmp_path / "ref.csv"
-        with open(ref, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["period_index", "n_probed", "period_time_s", "bits", "selected_se"])
-            for i in range(arrays.bits.size):
-                w.writerow([i, int(arrays.n_probed[i]), repr(float(arrays.period_time[i])),
-                            repr(float(arrays.bits[i])), repr(float(arrays.selected_se[i]))])
-        assert path.read_bytes() == ref.read_bytes()
+        # the writer formats CHUNK_PERIODS rows at a time, so 2*4096 + 3
+        # periods cross two chunk boundaries
+        for n in (500, 2 * CHUNK_PERIODS + 3):
+            arrays = simulate_periods(policy, rp.default_scenario(p_avail=0.7), n, 6)
+            path = tmp_path / "trace.csv"
+            simulator.write_trace_csv(path, arrays)
+            ref = tmp_path / "ref.csv"
+            with open(ref, "w", newline="") as f:
+                w = csv.writer(f)
+                w.writerow(["period_index", "n_probed", "period_time_s", "bits", "selected_se"])
+                for i in range(arrays.bits.size):
+                    w.writerow([i, int(arrays.n_probed[i]), repr(float(arrays.period_time[i])),
+                                repr(float(arrays.bits[i])), repr(float(arrays.selected_se[i]))])
+            assert path.read_bytes() == ref.read_bytes()
