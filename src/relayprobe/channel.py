@@ -288,25 +288,32 @@ def _bound_plan(region: RelayRegion, hops, noise: float, a: float, b: float):
     return tuple(plan)
 
 
-def _may_reach(cfg: ScenarioConfig, floor: float, u_radius, u_angle, shadows):
-    """Indices of the dual-clear relays whose rate may reach `floor`, from
-    their draws alone, or None when the bound would keep them all. A relay
-    is kept when both hops' bounds (`_bound_plan`) reach the SNR that the
-    floor needs: one table cell, one take and one compare per hop."""
+def _floor_bound(cfg: ScenarioConfig, floor: float):
+    """What `_may_reach` needs for `floor`, looked up once per sampler call:
+    (plan, target dB), with an empty plan when no rate can reach the floor,
+    or None when the bound would keep every relay."""
     if floor > cfg.se_cap:
-        return np.empty(0, np.intp)
+        return (), 0.0
     # rate >= floor needs 1 + 2*snr >= 2**(2*floor); the 1e-12 factors cover
     # the rounding of 1 + 2*snr, of log2 and of the product by 0.5, so this
     # target lies below the least snr whose computed rate reaches the floor
     # (a floor past 500 is bounded by 500's target, which is lower still)
     snr_min = (2.0 ** (2.0 * min(floor, 500.0) * (1.0 - 1e-12)) * (1.0 - 1e-12) - 1.0) / 2.0
     b = cfg.pathloss_b
-    if not snr_min > 0.0 or b <= 0.0 or u_radius.size == 0:
+    if not snr_min > 0.0 or b <= 0.0:
         return None
     plan = _bound_plan(cfg.relay_region, _hops(cfg), _noise_dbm(cfg), cfg.pathloss_a, b)
-    if plan is None:
-        return None
-    target = 10.0 * math.log10(snr_min)
+    return None if plan is None else (plan, 10.0 * math.log10(snr_min))
+
+
+def _may_reach(bound, u_radius, u_angle, shadows):
+    """Indices of the dual-clear relays whose rate may reach the floor of
+    `bound` (`_floor_bound`), from their draws alone. A relay is kept when
+    both hops' bounds (`_bound_plan`) reach the SNR that the floor needs:
+    one table cell, one take and one compare per hop."""
+    plan, target = bound
+    if not plan:
+        return np.empty(0, np.intp)
     cell = np.multiply(u_radius, RADIUS_BINS).astype(np.intp)
     cell *= ANGLE_BINS
     cell += np.multiply(u_angle, ANGLE_BINS).astype(np.intp)
@@ -336,7 +343,10 @@ def sample_two_hop_se_batch(rng: np.random.Generator, cfg: ScenarioConfig, n: in
     state always yields the same probes: chi1 and chi2 for all n relays, then
     for the k dual-clear relays only (a share p_avail**2) the two position
     uniforms, shadow1 and shadow2. A blocked relay's rate is 0 whatever its
-    position and shadowing, so those are never drawn for it.
+    position and shadowing, so those are never drawn for it. shadow2, the
+    last draw, is drawn per slice of BLOCK_PROBES relays as the link budget
+    reaches it: consecutive draws give the same variates and leave the
+    generator in the same state as one draw of all k.
 
     A caller that needs only the rates that reach `floor` passes it: every
     rate >= floor is exactly the floor-0 rate, and every other rate is below
@@ -358,22 +368,35 @@ def sample_two_hop_se_batch(rng: np.random.Generator, cfg: ScenarioConfig, n: in
     del both
     u_radius, u_angle = rng.random(k), rng.random(k)
     shadow1 = rng.normal(0.0, cfg.shadow_sigma, k)
-    shadow2 = rng.normal(0.0, cfg.shadow_sigma, k)
-    keep = _may_reach(cfg, floor, u_radius, u_angle, (shadow1, shadow2))
+    bound = _floor_bound(cfg, floor)
+    # when every relay is clear and kept, each slice's rates overwrite the
+    # radius uniforms it has consumed, so those become se
+    se = u_radius if clear is None and bound is None else None
     (src, *hop1), (dst, *hop2) = _hops(cfg)
-    se = np.zeros(n)
-    for lo in range(0, k if keep is None else keep.size, BLOCK_PROBES):
-        # views of the draws when all are kept; each step reuses a buffer
-        at = slice(lo, lo + BLOCK_PROBES) if keep is None else keep[lo:lo + BLOCK_PROBES]
-        u = u_radius[at]
-        x, y = _disk_points(u, u_angle[at], cfg.relay_region)
+    for lo in range(0, k, BLOCK_PROBES):
+        # views of the slice's draws (copies of those kept by a bound);
+        # each step reuses a buffer
+        at = slice(lo, lo + BLOCK_PROBES)
+        u, v, s1 = u_radius[at], u_angle[at], shadow1[at]
+        s2 = shadow2 = rng.normal(0.0, cfg.shadow_sigma, u.size)
+        if bound is not None:
+            keep = _may_reach(bound, u, v, (s1, shadow2))
+            u, v, s1, s2 = u[keep], v[keep], s1[keep], shadow2[keep]
+            at = keep + lo
+        if se is None:
+            # zeroed, as a pruned relay must read 0, only after the first
+            # slice's bound, with its whole shadow2 held: se then reuses the
+            # bound's freed temporaries; allocated first, it split the heap,
+            # whose freed top was re-faulted on every engine block
+            se = np.zeros(n)
+        x, y = _disk_points(u, v, cfg.relay_region)
         dy = np.subtract(y, src[1])
         d = np.hypot(np.subtract(x, src[0], out=u), dy, out=u)
         del dy
-        e1 = _hop_log10_snr(cfg, *hop1, d, shadow1[at])
+        e1 = _hop_log10_snr(cfg, *hop1, d, s1)
         np.subtract(x, dst[0], out=x)
         np.subtract(y, dst[1], out=y)
-        e2 = _hop_log10_snr(cfg, *hop2, np.hypot(x, y, out=x), shadow2[at])
+        e2 = _hop_log10_snr(cfg, *hop2, np.hypot(x, y, out=x), s2)
         # 10**x is increasing, so the weaker hop is picked before the one
         # power; half-duplex DF: 0.5*log2(1 + 2*SNR), each hop using half
         # the time
@@ -382,5 +405,7 @@ def sample_two_hop_se_batch(rng: np.random.Generator, cfg: ScenarioConfig, n: in
         rate += 1.0
         np.log2(rate, out=rate)
         rate *= 0.5
-        se[at if clear is None else clear[at]] = np.minimum(rate, cfg.se_cap, out=rate)
-    return chi1, chi2, se
+        np.minimum(rate, cfg.se_cap, out=rate)
+        if se is not u_radius:  # else rate is the slice se[at] itself
+            se[at if clear is None else clear[at]] = rate
+    return chi1, chi2, np.zeros(n) if se is None else se

@@ -31,8 +31,10 @@ class EmpiricalSe:
         if s[0] < 0:
             raise ValueError("samples must be nonnegative")
         self.samples = s
-        # suffix_sums[i] = sum of samples[i:]
-        self._suffix = np.concatenate([np.cumsum(s[::-1])[::-1], [0.0]])
+        # _suffix[i] = sum of samples[i:], accumulated from the largest
+        # sample down, straight into place
+        self._suffix = np.zeros(s.size + 1)
+        np.cumsum(s[::-1], out=self._suffix[-2::-1])
         # laws composed by `at` share both arrays
         s.flags.writeable = self._suffix.flags.writeable = False
 

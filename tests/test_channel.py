@@ -10,8 +10,8 @@ from scipy import stats
 
 import relayprobe as rp
 from relayprobe import channel, cli, simulator
-from relayprobe.channel import (ConfigError, RelayRegion, ScenarioConfig,
-                                _disk_points, _hop_log10_snr,
+from relayprobe.channel import (BLOCK_PROBES, ConfigError, RelayRegion,
+                                ScenarioConfig, _disk_points, _hop_log10_snr,
                                 sample_two_hop_se_batch)
 from relayprobe.sedist import build_empirical
 
@@ -52,6 +52,47 @@ def hop_db(cfg, tx, g_tx, g_rx, d, shadow):
 def sampler_pathloss_db(d, cfg):
     # a hop sent at the noise power with no gain or shadowing reads -pathloss
     return -hop_db(cfg, ref_noise_dbm(cfg), 0.0, 0.0, d, 0.0)
+
+
+def full_array_reference(cfg, n, rng):
+    """(chi1, chi2, se) of `sample_two_hop_se_batch(rng, cfg, n)` on full
+    arrays, leaving `rng` in the sampler's end state. The sampler draws
+    position and shadowing for dual-clear relays only and runs the link
+    budget on them alone; this twin redraws the same variates, in the same
+    order, gives each blocked relay a stand-in position and no shadowing,
+    and runs the reference link budget, a power per hop, on every relay, so
+    a blocked one gets rate 0 from its blocked hop."""
+    chi1 = (rng.random(n) < cfg.p_avail).astype(np.int8)
+    chi2 = (rng.random(n) < cfg.p_avail).astype(np.int8)
+    if cfg.channel_mode == "onoff":
+        return chi1, chi2, np.where((chi1 & chi2) == 1, cfg.se_cap, 0.0)
+    clear = np.flatnonzero(chi1 & chi2)
+    pos = np.tile(cfg.relay_region.center, (n, 1))
+    pos[clear] = sample_relay_positions(rng, cfg, clear.size)
+    shadow1, shadow2 = np.zeros(n), np.zeros(n)
+    shadow1[clear] = rng.normal(0.0, cfg.shadow_sigma, clear.size)
+    shadow2[clear] = rng.normal(0.0, cfg.shadow_sigma, clear.size)
+    d1 = np.hypot(*(pos - cfg.source_pos).T)
+    d2 = np.hypot(*(np.asarray(cfg.dest_pos) - pos).T)
+    s1 = ref_snr(cfg.tx_power_bs, cfg.bf_gain_bs, cfg.bf_gain_dev, d1, shadow1, cfg) * chi1
+    s2 = ref_snr(cfg.tx_power_dev, cfg.bf_gain_dev, cfg.bf_gain_dev, d2, shadow2, cfg) * chi2
+    return chi1, chi2, ref_two_hop_se(s1, s2, cfg)
+
+
+def assert_equals_full_array_reference(cfg, n):
+    """The sampler's draw of n relays, and its generator's end state, equal
+    the full-array reference on a twin generator."""
+    rng, twin = np.random.default_rng([n, 5]), np.random.default_rng([n, 5])
+    got = sample_two_hop_se_batch(rng, cfg, n)
+    for a, b in zip(got, full_array_reference(cfg, n, twin)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+# draws whose dual-clear relays span several of the link budget's slices:
+# every relay clear (k = 3 slices and 5 relays), and about half blocked
+MULTI_SLICE = [(rp.default_scenario(p_avail=1.0), 3 * BLOCK_PROBES + 5),
+               (rp.default_scenario(p_avail=0.5), 5 * BLOCK_PROBES)]
 
 
 @pytest.fixture
@@ -163,34 +204,15 @@ class TestRelaySampling:
         rp.default_scenario(p_avail=0.5, channel_mode="onoff"),
     ], ids=["p0.1", "p0.5", "p1", "onoff"])
     def test_kernel_equals_full_array_link_budget(self, cfg, n):
-        # the kernel draws position and shadowing for dual-clear relays only
-        # and runs the link budget on them alone; a twin generator redraws
-        # the same variates, in the same order, gives each blocked relay a
-        # stand-in position and no shadowing, and runs the reference link
-        # budget, a power per hop, on every relay, so a blocked one gets
-        # rate 0 from its blocked hop
-        got = sample_two_hop_se_batch(np.random.default_rng([n, 5]), cfg, n)
-        rng = np.random.default_rng([n, 5])
-        chi1 = (rng.random(n) < cfg.p_avail).astype(np.int8)
-        chi2 = (rng.random(n) < cfg.p_avail).astype(np.int8)
-        if cfg.channel_mode == "onoff":
-            se = np.where((chi1 & chi2) == 1, cfg.se_cap, 0.0)
-        else:
-            clear = np.flatnonzero(chi1 & chi2)
-            pos = np.tile(cfg.relay_region.center, (n, 1))
-            pos[clear] = sample_relay_positions(rng, cfg, clear.size)
-            shadow1, shadow2 = np.zeros(n), np.zeros(n)
-            shadow1[clear] = rng.normal(0.0, cfg.shadow_sigma, clear.size)
-            shadow2[clear] = rng.normal(0.0, cfg.shadow_sigma, clear.size)
-            d1 = np.hypot(*(pos - cfg.source_pos).T)
-            d2 = np.hypot(*(np.asarray(cfg.dest_pos) - pos).T)
-            s1 = ref_snr(cfg.tx_power_bs, cfg.bf_gain_bs, cfg.bf_gain_dev,
-                         d1, shadow1, cfg) * chi1
-            s2 = ref_snr(cfg.tx_power_dev, cfg.bf_gain_dev, cfg.bf_gain_dev,
-                         d2, shadow2, cfg) * chi2
-            se = ref_two_hop_se(s1, s2, cfg)
-        for a, b in zip(got, (chi1, chi2, se)):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert_equals_full_array_reference(cfg, n)
+
+    @pytest.mark.parametrize("cfg, n", MULTI_SLICE, ids=["p1", "p0.5"])
+    def test_kernel_equals_full_array_link_budget_across_slices(self, cfg, n):
+        # the dual-clear relays span several link-budget slices, each
+        # drawing its own shadow2; at p = 1 the rates overwrite the radius
+        # uniforms slice by slice
+        assert n * cfg.p_avail ** 2 > 1.2 * BLOCK_PROBES
+        assert_equals_full_array_reference(cfg, n)
 
     @pytest.mark.parametrize("p", [0.1, 0.5])
     def test_draw_order_keeps_the_law(self, p):
@@ -216,9 +238,11 @@ class TestRelaySampling:
 
     def test_all_clear_draw_needs_no_index(self):
         # when every relay is clear the rates are written without a scatter
-        # index: the draws, the indicators and the rates hold 42 bytes per
-        # relay, and the link budget's two slice buffers add 1.3 at this n
-        # (44 measured); an int64 index would add 8
+        # index, over the radius uniforms: the position uniforms and shadow1
+        # hold 24 bytes per relay and the two indicators 2 (the rates reuse
+        # the radius uniforms, and shadow2 is drawn per slice); a slice's
+        # shadow2 and link-budget buffers add 2.6 at this n (28.6
+        # measured); an int64 index or a separate rate array would add 8
         cfg = rp.default_scenario(p_avail=1.0)
         n = 2 * 10 ** 5
         sample_two_hop_se_batch(np.random.default_rng(0), cfg, 1000)
@@ -228,7 +252,7 @@ class TestRelaySampling:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 46 * n
+        assert peak < 30 * n
 
     def test_first_hop_blockage_fraction(self):
         cfg = rp.default_scenario(p_avail=0.5)
@@ -296,6 +320,24 @@ def floor_cases(draw):
     return cfg, draw(st.integers(0, 2 ** 32 - 1)), draw(st.integers(0, 3000))
 
 
+def assert_floor_contract(cfg, seed, n, floors):
+    """Each floor leaves the indicators, the generator's state and every
+    rate >= floor as a floor-0 call on the same stream does; every other
+    rate is below the floor, and is 0 or its exact floor-0 rate."""
+    rng = np.random.default_rng(seed)
+    chi1, chi2, se0 = sample_two_hop_se_batch(rng, cfg, n)
+    state = rng.bit_generator.state
+    for floor in floors:
+        rng = np.random.default_rng(seed)
+        got = sample_two_hop_se_batch(rng, cfg, n, floor)
+        assert np.array_equal(got[0], chi1) and np.array_equal(got[1], chi2)
+        assert rng.bit_generator.state == state
+        reached = se0 >= floor
+        assert np.array_equal(got[2][reached], se0[reached]), floor
+        assert np.all(got[2][~reached] < floor), floor
+        assert np.all((got[2] == 0.0) | (got[2] == se0)), floor
+
+
 class TestRateFloor:
     """`sample_two_hop_se_batch(..., floor)` runs the exact link budget only
     on relays whose bound can reach the floor; it must leave the draws, the
@@ -305,23 +347,26 @@ class TestRateFloor:
     @settings(max_examples=150, deadline=None)
     def test_floor_contract(self, case):
         cfg, seed, n = case
-        rng = np.random.default_rng(seed)
-        chi1, chi2, se0 = sample_two_hop_se_batch(rng, cfg, n)
-        state = rng.bit_generator.state
+        se0 = sample_two_hop_se_batch(np.random.default_rng(seed), cfg, n)[2]
         drawn = se0[se0 > 0.0]
         floors = [0.0, math.ulp(0.0), cfg.se_cap, math.nextafter(cfg.se_cap, math.inf)]
         if drawn.size:
             floors += [float(np.quantile(drawn, 0.99)), float(drawn.min()),
                        float(drawn.max()), float(drawn[drawn.size // 2]),
                        math.nextafter(float(drawn.min()), 0.0)]
-        for floor in floors:
-            rng = np.random.default_rng(seed)
-            got = sample_two_hop_se_batch(rng, cfg, n, floor)
-            assert np.array_equal(got[0], chi1) and np.array_equal(got[1], chi2)
-            assert rng.bit_generator.state == state
-            reached = se0 >= floor
-            assert np.array_equal(got[2][reached], se0[reached]), floor
-            assert np.all(got[2][~reached] < floor), floor
+        assert_floor_contract(cfg, seed, n, floors)
+
+    @pytest.mark.parametrize("cfg, n", MULTI_SLICE, ids=["p1", "p0.5"])
+    def test_floor_contract_across_slices(self, cfg, n):
+        # the bound selects kept relays slice by slice; at p = 1 with a
+        # floor a pruned relay must read 0, not a radius uniform left over
+        # from the in-place rates of a floor-0 call
+        se0 = sample_two_hop_se_batch(np.random.default_rng(11), cfg, n)[2]
+        drawn = np.sort(se0[se0 > 0.0])
+        assert drawn.size > 1.2 * BLOCK_PROBES
+        assert_floor_contract(cfg, 11, n, [
+            0.0, math.ulp(0.0), float(drawn[drawn.size // 2]),
+            float(np.quantile(drawn, 0.99)), math.nextafter(cfg.se_cap, math.inf)])
 
     @pytest.mark.parametrize("j", [3, 700])
     def test_relay_at_an_endpoint_is_kept(self, j):
@@ -340,7 +385,8 @@ class TestRateFloor:
         s2 = ref_snr(cfg.tx_power_dev, cfg.bf_gain_dev, cfg.bf_gain_dev, d2, 0.0, cfg)
         rate = ref_two_hop_se(s1, s2, cfg)
         assert rate[0] > 1.0
-        keep = channel._may_reach(cfg, 1.0, u, v, (np.zeros(1), np.zeros(1)))
+        keep = channel._may_reach(channel._floor_bound(cfg, 1.0), u, v,
+                                  (np.zeros(1), np.zeros(1)))
         assert keep.tolist() == [0]
 
     @given(case=floor_cases())

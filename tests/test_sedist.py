@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,23 @@ class TestConstruction:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             EmpiricalSe([])
+
+    def test_suffix_sums_built_in_place(self):
+        # the suffix sums accumulate from the largest sample down, as a
+        # reversed cumsum does, so their bits match it; the sorted copy and
+        # the suffix array are the build's only full-size arrays, 16 bytes
+        # per sample (a cumsum temporary and a concatenation added 8 more)
+        samples = np.random.default_rng(0).random(2 * 10 ** 5)
+        EmpiricalSe(samples[:10])
+        tracemalloc.start()
+        try:
+            law = EmpiricalSe(samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 17 * samples.size
+        s = np.sort(samples)
+        assert np.array_equal(law._suffix, np.concatenate([np.cumsum(s[::-1])[::-1], [0.0]]))
 
     def test_onoff_validation(self):
         with pytest.raises(ValueError):
