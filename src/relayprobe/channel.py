@@ -101,9 +101,7 @@ class ScenarioConfig:
         return asdict(self)
 
     def to_json(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2)
-            f.write("\n")
+        write_object(path, self.to_dict())
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
@@ -147,6 +145,12 @@ def load_object(path, what: str) -> dict:
     if not isinstance(d, dict):
         raise ConfigError(f"{what} JSON must be an object")
     return d
+
+
+def write_object(path, d: dict) -> None:
+    """The one JSON writer for output files: `d`, indented, newline-ended."""
+    with open(path, "w") as f:
+        f.write(json.dumps(d, indent=2) + "\n")
 
 
 def _point(value, name: str) -> tuple:
@@ -288,12 +292,11 @@ def _bound_plan(region: RelayRegion, hops, noise: float, a: float, b: float):
     return tuple(plan)
 
 
-def _floor_bound(cfg: ScenarioConfig, floor: float):
-    """What `_may_reach` needs for `floor`, looked up once per sampler call:
-    (plan, target dB), with an empty plan when no rate can reach the floor,
-    or None when the bound would keep every relay."""
-    if floor > cfg.se_cap:
-        return (), 0.0
+def _may_reach(cfg: ScenarioConfig, floor: float, u_radius, u_angle, shadows):
+    """Indices of the dual-clear relays whose rate may reach `floor`, or None
+    when no bound applies and every relay is kept. From the draws alone: a
+    relay is kept when both hops' bounds (`_bound_plan`) reach the SNR that
+    the floor needs, at one table cell, one take and one compare per hop."""
     # rate >= floor needs 1 + 2*snr >= 2**(2*floor); the 1e-12 factors cover
     # the rounding of 1 + 2*snr, of log2 and of the product by 0.5, so this
     # target lies below the least snr whose computed rate reaches the floor
@@ -303,17 +306,9 @@ def _floor_bound(cfg: ScenarioConfig, floor: float):
     if not snr_min > 0.0 or b <= 0.0:
         return None
     plan = _bound_plan(cfg.relay_region, _hops(cfg), _noise_dbm(cfg), cfg.pathloss_a, b)
-    return None if plan is None else (plan, 10.0 * math.log10(snr_min))
-
-
-def _may_reach(bound, u_radius, u_angle, shadows):
-    """Indices of the dual-clear relays whose rate may reach the floor of
-    `bound` (`_floor_bound`), from their draws alone. A relay is kept when
-    both hops' bounds (`_bound_plan`) reach the SNR that the floor needs:
-    one table cell, one take and one compare per hop."""
-    plan, target = bound
-    if not plan:
-        return np.empty(0, np.intp)
+    if plan is None:
+        return None
+    target = 10.0 * math.log10(snr_min)
     cell = np.multiply(u_radius, RADIUS_BINS).astype(np.intp)
     cell *= ANGLE_BINS
     cell += np.multiply(u_angle, ANGLE_BINS).astype(np.intp)
@@ -368,10 +363,7 @@ def sample_two_hop_se_batch(rng: np.random.Generator, cfg: ScenarioConfig, n: in
     del both
     u_radius, u_angle = rng.random(k), rng.random(k)
     shadow1 = rng.normal(0.0, cfg.shadow_sigma, k)
-    bound = _floor_bound(cfg, floor)
-    # when every relay is clear and kept, each slice's rates overwrite the
-    # radius uniforms it has consumed, so those become se
-    se = u_radius if clear is None and bound is None else None
+    se = None
     (src, *hop1), (dst, *hop2) = _hops(cfg)
     for lo in range(0, k, BLOCK_PROBES):
         # views of the slice's draws (copies of those kept by a bound);
@@ -379,16 +371,17 @@ def sample_two_hop_se_batch(rng: np.random.Generator, cfg: ScenarioConfig, n: in
         at = slice(lo, lo + BLOCK_PROBES)
         u, v, s1 = u_radius[at], u_angle[at], shadow1[at]
         s2 = shadow2 = rng.normal(0.0, cfg.shadow_sigma, u.size)
-        if bound is not None:
-            keep = _may_reach(bound, u, v, (s1, shadow2))
+        keep = _may_reach(cfg, floor, u, v, (s1, shadow2))
+        if keep is not None:
             u, v, s1, s2 = u[keep], v[keep], s1[keep], shadow2[keep]
             at = keep + lo
         if se is None:
-            # zeroed, as a pruned relay must read 0, only after the first
-            # slice's bound, with its whole shadow2 held: se then reuses the
-            # bound's freed temporaries; allocated first, it split the heap,
-            # whose freed top was re-faulted on every engine block
-            se = np.zeros(n)
+            # every relay clear and kept: the rates overwrite the radius
+            # uniforms they consume, which become se. Else se is zeroed (a
+            # pruned relay reads 0) once the first slice's bound has freed its
+            # temporaries, shadow2 still held, and reuses them; allocated
+            # first, it split the heap, whose top each engine block re-faulted
+            se = u_radius if clear is None and keep is None else np.zeros(n)
         x, y = _disk_points(u, v, cfg.relay_region)
         dy = np.subtract(y, src[1])
         d = np.hypot(np.subtract(x, src[0], out=u), dy, out=u)

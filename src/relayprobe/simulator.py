@@ -75,7 +75,9 @@ class FixedBeta:
     beta: int
 
     def __post_init__(self):
-        if not 1 <= check_number(self.beta, "beta", integer=True) <= MAX_PROBES:
+        # a numpy integer is stored as int, so block sizes cannot overflow it
+        object.__setattr__(self, "beta", check_number(self.beta, "beta", integer=True))
+        if not 1 <= self.beta <= MAX_PROBES:
             raise ValueError(f"beta must be in [1, {MAX_PROBES}]")
 
 

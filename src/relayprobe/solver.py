@@ -18,9 +18,9 @@ oscillates (`naive_fixed_point_trace` in tests/test_solver.py shows it).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
+from .channel import write_object
 from .sedist import EmpiricalSe
 
 # the Newton loop stops once a step moves mu by at most REL_TOL relative
@@ -45,21 +45,15 @@ class StoppingSolution:
     iterations: int
     residual: float         # h(mu_star), bit/s
     method: str             # closed_form | newton_ratio
-    iterates: tuple[float, ...] = ()  # Newton-ratio iterates from mu = 0
 
-    def to_dict(self) -> dict:
-        return {
+    def to_json(self, path) -> None:
+        write_object(path, {
             "mu_star_bps": self.mu_star,
             "threshold_se": self.threshold_se,
             "iterations": self.iterations,
             "residual": self.residual,
             "method": self.method,
-        }
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2)
-            f.write("\n")
+        })
 
 
 def fixed_point_residual(dist: EmpiricalSe, mu: float, W: float, T: float,
@@ -83,14 +77,13 @@ def solve_mu_star(dist: EmpiricalSe, W: float, T: float, tau: float,
         raise DegenerateDistributionError("rate distribution has zero mean")
 
     # no fallback needed: Newton on convex, decreasing h climbs to mu* with h >= 0
-    mu, iterates = 0.0, []
+    mu = 0.0
     for it in range(1, MAX_ITER + 1):
         mu_next = _newton_step(dist, mu, W, T, tau, p)
-        iterates.append(mu_next)
         if abs(mu_next - mu) <= REL_TOL * max(1.0, mu_next):
             return StoppingSolution(mu_next, mu_next / W, it,
                                     fixed_point_residual(dist, mu_next, W, T, tau, p),
-                                    "newton_ratio", tuple(iterates))
+                                    "newton_ratio")
         mu = mu_next
     raise ConvergenceError(f"no convergence in {MAX_ITER} iterations", mu)
 

@@ -4,17 +4,34 @@ The package solves for mu* with one Newton-ratio loop. These slower,
 independent routines check it: plain bisection on h for mu*, bisection on
 the excess for the threshold rho at a given mu, and the ordinary value
 V(mu), which vanishes at mu*. Their brackets end at the largest clear-link
-sample, above which the rate law has no mass.
+sample, above which the rate law has no mass. `newton_iterates` replays the
+loop's own steps, so tests can check the iterates that the solver does not
+keep.
 """
 
 from __future__ import annotations
 
 from relayprobe.sedist import EmpiricalSe
-from relayprobe.solver import REL_TOL, StoppingSolution, fixed_point_residual
+from relayprobe.solver import (MAX_ITER, REL_TOL, StoppingSolution,
+                               _newton_step, fixed_point_residual)
 
 
 class InfeasibleError(ValueError):
     """The requested threshold equation has no solution in the support."""
+
+
+def newton_iterates(dist: EmpiricalSe, W: float, T: float, tau: float,
+                    p: float) -> list[float]:
+    """The Newton-ratio iterates of `solve_mu_star` from mu = 0: its
+    `_newton_step` replayed under the same REL_TOL stop, at most MAX_ITER."""
+    mu, iterates = 0.0, []
+    for _ in range(MAX_ITER):
+        mu_next = _newton_step(dist, mu, W, T, tau, p)
+        iterates.append(mu_next)
+        if abs(mu_next - mu) <= REL_TOL * max(1.0, mu_next):
+            break
+        mu = mu_next
+    return iterates
 
 
 def bisect_mu_star(dist: EmpiricalSe, W: float, T: float, tau: float,

@@ -385,8 +385,7 @@ class TestRateFloor:
         s2 = ref_snr(cfg.tx_power_dev, cfg.bf_gain_dev, cfg.bf_gain_dev, d2, 0.0, cfg)
         rate = ref_two_hop_se(s1, s2, cfg)
         assert rate[0] > 1.0
-        keep = channel._may_reach(channel._floor_bound(cfg, 1.0), u, v,
-                                  (np.zeros(1), np.zeros(1)))
+        keep = channel._may_reach(cfg, 1.0, u, v, (np.zeros(1), np.zeros(1)))
         assert keep.tolist() == [0]
 
     @given(case=floor_cases())

@@ -151,6 +151,16 @@ class TestFixedBetaBound:
             with pytest.raises(ValueError, match="beta"):
                 FixedBeta(beta)
 
+    @pytest.mark.parametrize("beta", [np.uint8(200), np.int8(100)])
+    def test_numpy_beta_stored_as_int(self, beta):
+        # kept as a numpy integer, beta would carry its dtype into the
+        # engine's block-size product, which overflows it
+        policy = FixedBeta(beta)
+        assert type(policy.beta) is int
+        cfg = onoff_cfg()
+        assert_same_arrays(simulate_periods(policy, cfg, 300, 5),
+                           simulate_periods(FixedBeta(int(beta)), cfg, 300, 5))
+
 
 class TestExplicitThreshold:
     def test_rho_is_a_finite_nonnegative_real(self):
@@ -177,6 +187,19 @@ class TestRunPeriod:
         monkeypatch.setattr(simulator, "MAX_PROBES", 200)
         with pytest.raises(RunawayPeriodError):
             run_period(ExplicitThreshold(5.0), cfg, np.random.default_rng(0))
+
+    def test_threshold_above_se_cap_runs_away(self, monkeypatch):
+        # no rate exceeds se_cap, so the relays the rate-floor bound keeps
+        # all read below this threshold: the engine runs away, and a sweep
+        # row carries that as its typed error
+        cfg = rp.default_scenario(p_avail=0.9)
+        rho = math.nextafter(cfg.se_cap, math.inf)
+        monkeypatch.setattr(simulator, "MAX_PROBES", 1000)
+        with pytest.raises(RunawayPeriodError):
+            simulator._simulate_chunk(ExplicitThreshold(rho), cfg, 0, 0, 10)
+        spec = cli.SweepSpec("p_avail", (0.9,), (f"threshold:{rho!r}",), 100, 0)
+        (row,) = cli.sweep_rows(cfg, spec)
+        assert row[-1].startswith("RunawayPeriodError"), row
 
     def test_geometric_mode(self):
         cfg = rp.default_scenario(p_avail=0.9)
