@@ -190,10 +190,10 @@ def default_scenario(p_avail: float = 0.5, tau: float = 0.01, **overrides) -> Sc
 # two, so int(v * ANGLE_BINS) and int(u * RADIUS_BINS) are the exact bins
 ANGLE_BINS = 1024
 RADIUS_BINS = 32
-# relays per block: the engine draws its probe stream in blocks of this many
-# (rounded down to whole periods for a fixed count), and the sampler runs the
-# exact link budget on at most this many at a time, so its temporaries stay
-# in cache and do not grow with the draw
+# relays per sampler call: the engine draws its probe stream in blocks of this
+# many (rounded down to whole periods for a fixed count) and the rate-law
+# build draws its law in blocks of this many, so the sampler's arrays stay in
+# cache and do not grow with the draw
 BLOCK_PROBES = 1 << 14
 
 
@@ -319,7 +319,8 @@ def _may_reach(cfg: ScenarioConfig, floor: float, u_radius, u_angle, shadows):
             if keep.size == 0:
                 return keep
             cell, s = cell[keep], s[keep]
-        margin = 1e-9 * (size + abs(target) + max(s.max(), -s.min()))
+        # max|s|, or 0 for a draw with no dual-clear relay
+        margin = 1e-9 * (size + abs(target) + max(s.max(initial=0.0), -s.min(initial=0.0)))
         # keep where s >= table + target - margin - K - 3b
         cut = np.take(table, cell)
         cut += target - margin - offset
@@ -338,10 +339,9 @@ def sample_two_hop_se_batch(rng: np.random.Generator, cfg: ScenarioConfig, n: in
     state always yields the same probes: chi1 and chi2 for all n relays, then
     for the k dual-clear relays only (a share p_avail**2) the two position
     uniforms, shadow1 and shadow2. A blocked relay's rate is 0 whatever its
-    position and shadowing, so those are never drawn for it. shadow2, the
-    last draw, is drawn per slice of BLOCK_PROBES relays as the link budget
-    reaches it: consecutive draws give the same variates and leave the
-    generator in the same state as one draw of all k.
+    position and shadowing, so those are never drawn for it. The engine and
+    the rate-law build draw BLOCK_PROBES relays a call (a FixedBeta period
+    of more relays is one call), so the arrays here stay small.
 
     A caller that needs only the rates that reach `floor` passes it: every
     rate >= floor is exactly the floor-0 rate, and every other rate is below
@@ -357,48 +357,35 @@ def sample_two_hop_se_batch(rng: np.random.Generator, cfg: ScenarioConfig, n: in
     if cfg.channel_mode == "onoff":
         return chi1, chi2, np.where(both, cfg.se_cap, 0.0)
 
-    # when every relay is clear the rates need no scatter through an index
     k = np.count_nonzero(both)
-    clear = None if k == n else np.flatnonzero(both)
-    del both
     u_radius, u_angle = rng.random(k), rng.random(k)
     shadow1 = rng.normal(0.0, cfg.shadow_sigma, k)
-    se = None
+    shadow2 = rng.normal(0.0, cfg.shadow_sigma, k)
+    keep = _may_reach(cfg, floor, u_radius, u_angle, (shadow1, shadow2))
+    u, v, s1, s2 = u_radius, u_angle, shadow1, shadow2
+    if keep is not None:
+        # copies of the kept relays' draws; the full draws stay bound until
+        # the return, as freeing them here let each engine block re-fault
+        # the top of the heap (about 5x the minor faults)
+        u, v, s1, s2 = u[keep], v[keep], s1[keep], s2[keep]
+    # a blocked or pruned relay reads 0
+    se = np.zeros(n)
     (src, *hop1), (dst, *hop2) = _hops(cfg)
-    for lo in range(0, k, BLOCK_PROBES):
-        # views of the slice's draws (copies of those kept by a bound);
-        # each step reuses a buffer
-        at = slice(lo, lo + BLOCK_PROBES)
-        u, v, s1 = u_radius[at], u_angle[at], shadow1[at]
-        s2 = shadow2 = rng.normal(0.0, cfg.shadow_sigma, u.size)
-        keep = _may_reach(cfg, floor, u, v, (s1, shadow2))
-        if keep is not None:
-            u, v, s1, s2 = u[keep], v[keep], s1[keep], shadow2[keep]
-            at = keep + lo
-        if se is None:
-            # every relay clear and kept: the rates overwrite the radius
-            # uniforms they consume, which become se. Else se is zeroed (a
-            # pruned relay reads 0) once the first slice's bound has freed its
-            # temporaries, shadow2 still held, and reuses them; allocated
-            # first, it split the heap, whose top each engine block re-faulted
-            se = u_radius if clear is None and keep is None else np.zeros(n)
-        x, y = _disk_points(u, v, cfg.relay_region)
-        dy = np.subtract(y, src[1])
-        d = np.hypot(np.subtract(x, src[0], out=u), dy, out=u)
-        del dy
-        e1 = _hop_log10_snr(cfg, *hop1, d, s1)
-        np.subtract(x, dst[0], out=x)
-        np.subtract(y, dst[1], out=y)
-        e2 = _hop_log10_snr(cfg, *hop2, np.hypot(x, y, out=x), s2)
-        # 10**x is increasing, so the weaker hop is picked before the one
-        # power; half-duplex DF: 0.5*log2(1 + 2*SNR), each hop using half
-        # the time
-        rate = np.power(10.0, np.minimum(e1, e2, out=e1), out=e1)
-        rate *= 2.0
-        rate += 1.0
-        np.log2(rate, out=rate)
-        rate *= 0.5
-        np.minimum(rate, cfg.se_cap, out=rate)
-        if se is not u_radius:  # else rate is the slice se[at] itself
-            se[at if clear is None else clear[at]] = rate
-    return chi1, chi2, np.zeros(n) if se is None else se
+    x, y = _disk_points(u, v, cfg.relay_region)
+    dy = np.subtract(y, src[1])
+    d = np.hypot(np.subtract(x, src[0], out=u), dy, out=u)
+    del dy
+    e1 = _hop_log10_snr(cfg, *hop1, d, s1)
+    np.subtract(x, dst[0], out=x)
+    np.subtract(y, dst[1], out=y)
+    e2 = _hop_log10_snr(cfg, *hop2, np.hypot(x, y, out=x), s2)
+    # 10**x is increasing, so the weaker hop is picked before the one power;
+    # half-duplex DF: 0.5*log2(1 + 2*SNR), each hop using half the time
+    rate = np.power(10.0, np.minimum(e1, e2, out=e1), out=e1)
+    rate *= 2.0
+    rate += 1.0
+    np.log2(rate, out=rate)
+    rate *= 0.5
+    np.minimum(rate, cfg.se_cap, out=rate)
+    se[both if keep is None else np.flatnonzero(both)[keep]] = rate
+    return chi1, chi2, se

@@ -17,6 +17,8 @@ from dataclasses import replace
 
 import numpy as np
 
+from . import channel
+
 
 class EmpiricalSe:
     """Rate law backed by sorted clear-link samples with precomputed suffix
@@ -75,13 +77,16 @@ def build_empirical(cfg, n_samples: int, rng: np.random.Generator) -> EmpiricalS
     On/off links have the one clear rate se_cap, so their law is exact and
     draws nothing. A geometric scenario's clear-link law is n_samples draws
     at p_avail = 1, so every sample is clear and the law's accuracy does not
-    depend on p_avail.
+    depend on p_avail. They are drawn BLOCK_PROBES at a time, as the engine
+    draws its probes.
     """
-    from . import channel
-
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if cfg.channel_mode == "onoff":
         return EmpiricalSe([cfg.se_cap]).at(cfg.p_avail)
-    _, _, se = channel.sample_two_hop_se_batch(rng, replace(cfg, p_avail=1.0), n_samples)
+    clear_cfg, block = replace(cfg, p_avail=1.0), channel.BLOCK_PROBES
+    se = np.empty(n_samples)
+    for lo in range(0, n_samples, block):
+        se[lo:lo + block] = channel.sample_two_hop_se_batch(
+            rng, clear_cfg, min(block, n_samples - lo))[2]
     return EmpiricalSe(se).at(cfg.p_avail)

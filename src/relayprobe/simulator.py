@@ -22,7 +22,7 @@ import numpy as np
 from . import channel as _channel
 from . import sedist as _sedist
 from . import solver as _solver
-from .channel import BLOCK_PROBES, ScenarioConfig, check_number
+from .channel import BLOCK_PROBES, ConfigError, ScenarioConfig, check_number
 
 CHUNK_PERIODS = 4096
 # one substream id reserved for drawing the clear-link rate law that an
@@ -177,8 +177,12 @@ def _simulate_chunk(policy, cfg, seed, chunk_index, n_periods):
 def simulate_periods(policy: StoppingPolicy, cfg: ScenarioConfig, n_periods: int,
                      seed: int, workers: int = 1) -> PeriodArrays:
     """Simulate n_periods independent periods, bit-identical for any workers."""
-    if not 1 <= n_periods <= MAX_PERIODS:
-        raise ValueError(f"n_periods must be in [1, {MAX_PERIODS}]")
+    if not 1 <= check_number(n_periods, "n_periods", integer=True) <= MAX_PERIODS:
+        raise ConfigError(f"n_periods must be in [1, {MAX_PERIODS}]")
+    if check_number(seed, "seed", integer=True) < 0:
+        raise ConfigError("seed must be >= 0")
+    if check_number(workers, "workers", integer=True) < 1:
+        raise ConfigError("workers must be >= 1")
     policy = resolve_policy(policy, cfg, seed)
     n_chunks = (n_periods + CHUNK_PERIODS - 1) // CHUNK_PERIODS
     sizes = [min(CHUNK_PERIODS, n_periods - i * CHUNK_PERIODS) for i in range(n_chunks)]
@@ -224,7 +228,7 @@ def estimate_throughput(policy: StoppingPolicy, cfg: ScenarioConfig,
                         n_periods: int, seed: int, workers: int = 1,
                         trace_path=None) -> ThroughputEstimate:
     """Renewal-reward throughput estimate over n_periods periods."""
-    if n_periods < N_BATCHES:
+    if check_number(n_periods, "n_periods", integer=True) < N_BATCHES:
         raise ValueError(f"n_periods must be >= {N_BATCHES}")
     arrays = simulate_periods(policy, cfg, n_periods, seed, workers)
     if trace_path is not None:

@@ -1,6 +1,5 @@
 import json
 import math
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -89,10 +88,10 @@ def assert_equals_full_array_reference(cfg, n):
     assert rng.bit_generator.state == twin.bit_generator.state
 
 
-# draws whose dual-clear relays span several of the link budget's slices:
-# every relay clear (k = 3 slices and 5 relays), and about half blocked
-MULTI_SLICE = [(rp.default_scenario(p_avail=1.0), 3 * BLOCK_PROBES + 5),
-               (rp.default_scenario(p_avail=0.5), 5 * BLOCK_PROBES)]
+# draws of more dual-clear relays than a caller's block holds: every relay
+# clear (3 blocks and 5 relays), and about half blocked
+LARGE_N = [(rp.default_scenario(p_avail=1.0), 3 * BLOCK_PROBES + 5),
+           (rp.default_scenario(p_avail=0.5), 5 * BLOCK_PROBES)]
 
 
 @pytest.fixture
@@ -206,11 +205,10 @@ class TestRelaySampling:
     def test_kernel_equals_full_array_link_budget(self, cfg, n):
         assert_equals_full_array_reference(cfg, n)
 
-    @pytest.mark.parametrize("cfg, n", MULTI_SLICE, ids=["p1", "p0.5"])
-    def test_kernel_equals_full_array_link_budget_across_slices(self, cfg, n):
-        # the dual-clear relays span several link-budget slices, each
-        # drawing its own shadow2; at p = 1 the rates overwrite the radius
-        # uniforms slice by slice
+    @pytest.mark.parametrize("cfg, n", LARGE_N, ids=["p1", "p0.5"])
+    def test_kernel_equals_full_array_link_budget_at_large_n(self, cfg, n):
+        # a call larger than any engine block still draws and prices every
+        # dual-clear relay as the full-array reference does
         assert n * cfg.p_avail ** 2 > 1.2 * BLOCK_PROBES
         assert_equals_full_array_reference(cfg, n)
 
@@ -235,24 +233,6 @@ class TestRelaySampling:
         assert abs(cov) < 4 * p * (1 - p) / math.sqrt(n)
         law = build_empirical(cfg, 10 ** 5, np.random.default_rng(7))
         assert stats.ks_2samp(se[both], law.samples).pvalue > 1e-3
-
-    def test_all_clear_draw_needs_no_index(self):
-        # when every relay is clear the rates are written without a scatter
-        # index, over the radius uniforms: the position uniforms and shadow1
-        # hold 24 bytes per relay and the two indicators 2 (the rates reuse
-        # the radius uniforms, and shadow2 is drawn per slice); a slice's
-        # shadow2 and link-budget buffers add 2.6 at this n (28.6
-        # measured); an int64 index or a separate rate array would add 8
-        cfg = rp.default_scenario(p_avail=1.0)
-        n = 2 * 10 ** 5
-        sample_two_hop_se_batch(np.random.default_rng(0), cfg, 1000)
-        tracemalloc.start()
-        try:
-            sample_two_hop_se_batch(np.random.default_rng(0), cfg, n)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 30 * n
 
     def test_first_hop_blockage_fraction(self):
         cfg = rp.default_scenario(p_avail=0.5)
@@ -356,17 +336,24 @@ class TestRateFloor:
                        math.nextafter(float(drawn.min()), 0.0)]
         assert_floor_contract(cfg, seed, n, floors)
 
-    @pytest.mark.parametrize("cfg, n", MULTI_SLICE, ids=["p1", "p0.5"])
-    def test_floor_contract_across_slices(self, cfg, n):
-        # the bound selects kept relays slice by slice; at p = 1 with a
-        # floor a pruned relay must read 0, not a radius uniform left over
-        # from the in-place rates of a floor-0 call
+    @pytest.mark.parametrize("cfg, n", LARGE_N, ids=["p1", "p0.5"])
+    def test_floor_contract_at_large_n(self, cfg, n):
+        # at p = 1 with a floor a pruned relay must read 0, not a draw left
+        # over from the in-place link budget
         se0 = sample_two_hop_se_batch(np.random.default_rng(11), cfg, n)[2]
         drawn = np.sort(se0[se0 > 0.0])
         assert drawn.size > 1.2 * BLOCK_PROBES
         assert_floor_contract(cfg, 11, n, [
             0.0, math.ulp(0.0), float(drawn[drawn.size // 2]),
             float(np.quantile(drawn, 0.99)), math.nextafter(cfg.se_cap, math.inf)])
+
+    def test_draw_with_no_clear_relay_under_a_floor(self):
+        # the bound sees empty draws, whose max|s| it takes as 0
+        cfg = rp.default_scenario(p_avail=0.1)
+        chi1, chi2, _ = sample_two_hop_se_batch(np.random.default_rng(0), cfg, 1)
+        assert not np.any(chi1 & chi2)
+        _, _, se = sample_two_hop_se_batch(np.random.default_rng(0), cfg, 1, 1.0)
+        assert se.tolist() == [0.0]
 
     @pytest.mark.parametrize("j", [3, 700])
     def test_relay_at_an_endpoint_is_kept(self, j):

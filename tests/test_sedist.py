@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import relayprobe as rp
+from relayprobe.channel import BLOCK_PROBES, sample_two_hop_se_batch
 from relayprobe.sedist import EmpiricalSe, build_empirical
 
 
@@ -160,6 +161,33 @@ class TestBuildEmpirical:
         assert not laws[1.0].samples.flags.writeable
         with pytest.raises(ValueError):
             laws[1.0].at(0.0)
+
+    def test_law_is_drawn_in_blocks(self):
+        # the law's stream is the sampler's, BLOCK_PROBES draws per call at
+        # p = 1, with a short last block
+        cfg = rp.default_scenario()
+        n = 2 * BLOCK_PROBES + 7
+        law = build_empirical(cfg, n, np.random.default_rng(5))
+        twin, clear_cfg = np.random.default_rng(5), rp.default_scenario(p_avail=1.0)
+        blocks = [sample_two_hop_se_batch(twin, clear_cfg, size)[2]
+                  for size in (BLOCK_PROBES, BLOCK_PROBES, 7)]
+        assert np.array_equal(law.samples, np.sort(np.concatenate(blocks)))
+
+    def test_law_build_memory_per_sample(self):
+        # the drawn samples, their sorted copy and the suffix sums hold 24
+        # bytes per sample (24.0 measured); a block's draws add a fixed
+        # amount, and one sampler call over every sample would add more
+        # per sample than the bound leaves
+        cfg = rp.default_scenario()
+        n = 2 * 10 ** 5
+        build_empirical(cfg, 1000, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            build_empirical(cfg, n, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 27 * n
 
     def test_invalid_sample_count(self):
         cfg = rp.default_scenario()

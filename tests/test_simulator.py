@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import relayprobe as rp
 from relayprobe import cli, sedist, simulator, solver
-from relayprobe.channel import (RelayRegion, ScenarioConfig,
+from relayprobe.channel import (ConfigError, RelayRegion, ScenarioConfig,
                                 sample_two_hop_se_batch)
 from relayprobe.simulator import (BLOCK_PROBES, CHUNK_PERIODS, MYOPIC,
                                   ExplicitThreshold, FixedBeta,
@@ -219,12 +219,41 @@ class TestRunPeriod:
             simulate_periods(MYOPIC, cfg, 100, 0)
 
 
-def test_period_count_bounded_before_drawing(monkeypatch):
-    # a count past MAX_PERIODS is refused before any chunk list or draw
+@pytest.fixture
+def no_draw(monkeypatch):
+    """Fail the test if it draws a probe."""
     def no_draw(*args):
         raise AssertionError("drew probes")
 
     monkeypatch.setattr(simulator._channel, "sample_two_hop_se_batch", no_draw)
+
+
+@pytest.mark.usefixtures("no_draw")
+class TestEngineInputs:
+    # each engine count passes the one number rule before anything is drawn
+
+    def test_bool_period_count_rejected(self):
+        with pytest.raises(ConfigError, match="n_periods"):
+            simulate_periods(MYOPIC, onoff_cfg(), True, 0)
+
+    def test_float_period_count_rejected(self):
+        with pytest.raises(ConfigError, match="n_periods"):
+            estimate_throughput(MYOPIC, onoff_cfg(), 30.0, 0)
+
+    @pytest.mark.parametrize("seed", [True, 1.0, -1])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            simulate_periods(MYOPIC, onoff_cfg(), 100, seed)
+
+    @pytest.mark.parametrize("workers", [0, 2.0, True])
+    def test_bad_worker_count_rejected(self, workers):
+        with pytest.raises(ConfigError, match="workers"):
+            simulate_periods(MYOPIC, onoff_cfg(), 100, 0, workers)
+
+
+@pytest.mark.usefixtures("no_draw")
+def test_period_count_bounded_before_drawing():
+    # a count past MAX_PERIODS is refused before any chunk list or draw
     for n in (simulator.MAX_PERIODS + 1, 10 ** 300):
         with pytest.raises(ValueError, match="n_periods"):
             simulate_periods(MYOPIC, rp.default_scenario(), n, 0)
