@@ -293,10 +293,10 @@ def _bound_plan(region: RelayRegion, hops, noise: float, a: float, b: float):
 
 
 def _may_reach(cfg: ScenarioConfig, floor: float, u_radius, u_angle, shadows):
-    """Indices of the dual-clear relays whose rate may reach `floor`, or None
-    when no bound applies and every relay is kept. From the draws alone: a
-    relay is kept when both hops' bounds (`_bound_plan`) reach the SNR that
-    the floor needs, at one table cell, one take and one compare per hop."""
+    """Indices of the dual-clear relays whose rate may reach `floor`, or
+    slice(None), every relay, when no bound applies. From the draws alone:
+    a relay is kept when both hops' bounds (`_bound_plan`) reach the SNR
+    that the floor needs, at one table cell, one take and one compare per hop."""
     # rate >= floor needs 1 + 2*snr >= 2**(2*floor); the 1e-12 factors cover
     # the rounding of 1 + 2*snr, of log2 and of the product by 0.5, so this
     # target lies below the least snr whose computed rate reaches the floor
@@ -304,28 +304,26 @@ def _may_reach(cfg: ScenarioConfig, floor: float, u_radius, u_angle, shadows):
     snr_min = (2.0 ** (2.0 * min(floor, 500.0) * (1.0 - 1e-12)) * (1.0 - 1e-12) - 1.0) / 2.0
     b = cfg.pathloss_b
     if not snr_min > 0.0 or b <= 0.0:
-        return None
+        return slice(None)
     plan = _bound_plan(cfg.relay_region, _hops(cfg), _noise_dbm(cfg), cfg.pathloss_a, b)
     if plan is None:
-        return None
+        return slice(None)
     target = 10.0 * math.log10(snr_min)
     cell = np.multiply(u_radius, RADIUS_BINS).astype(np.intp)
     cell *= ANGLE_BINS
     cell += np.multiply(u_angle, ANGLE_BINS).astype(np.intp)
-    keep = None
+    keep = slice(None)
     for i, table, offset, size in plan:
-        s = shadows[i]
-        if keep is not None:
-            if keep.size == 0:
-                return keep
-            cell, s = cell[keep], s[keep]
+        cell, s = cell[keep], shadows[i][keep]
         # max|s|, or 0 for a draw with no dual-clear relay
         margin = 1e-9 * (size + abs(target) + max(s.max(initial=0.0), -s.min(initial=0.0)))
         # keep where s >= table + target - margin - K - 3b
         cut = np.take(table, cell)
         cut += target - margin - offset
         hit = np.flatnonzero(s >= cut)
-        keep = hit if keep is None else keep[hit]
+        keep = hit if isinstance(keep, slice) else keep[hit]
+        if keep.size == 0:
+            return keep
     return keep
 
 
@@ -362,12 +360,10 @@ def sample_two_hop_se_batch(rng: np.random.Generator, cfg: ScenarioConfig, n: in
     shadow1 = rng.normal(0.0, cfg.shadow_sigma, k)
     shadow2 = rng.normal(0.0, cfg.shadow_sigma, k)
     keep = _may_reach(cfg, floor, u_radius, u_angle, (shadow1, shadow2))
-    u, v, s1, s2 = u_radius, u_angle, shadow1, shadow2
-    if keep is not None:
-        # copies of the kept relays' draws; the full draws stay bound until
-        # the return, as freeing them here let each engine block re-fault
-        # the top of the heap (about 5x the minor faults)
-        u, v, s1, s2 = u[keep], v[keep], s1[keep], s2[keep]
+    # the kept relays' draws, views when every relay is kept; the full draws
+    # stay bound until the return, as freeing them here let each engine block
+    # re-fault the top of the heap (about 5x the minor faults)
+    u, v, s1, s2 = u_radius[keep], u_angle[keep], shadow1[keep], shadow2[keep]
     # a blocked or pruned relay reads 0
     se = np.zeros(n)
     (src, *hop1), (dst, *hop2) = _hops(cfg)
@@ -387,5 +383,5 @@ def sample_two_hop_se_batch(rng: np.random.Generator, cfg: ScenarioConfig, n: in
     np.log2(rate, out=rate)
     rate *= 0.5
     np.minimum(rate, cfg.se_cap, out=rate)
-    se[both if keep is None else np.flatnonzero(both)[keep]] = rate
+    se[np.flatnonzero(both)[keep]] = rate
     return chi1, chi2, se

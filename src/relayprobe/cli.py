@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import click
 import numpy as np
 
-from . import simulator, solver
+from . import sedist, simulator, solver
 from .channel import ScenarioConfig, check_number, load_object
 from .simulator import (MYOPIC, ExplicitThreshold, FixedBeta,
                         OptimalThreshold, RunawayPeriodError)
@@ -176,7 +176,7 @@ def solve(config_path, seed, out_path):
         raise click.ClickException(str(exc))
     onoff = cfg.channel_mode == "onoff"
     click.echo("rate law: onoff" if onoff else
-               f"rate law: geometric, {simulator.LAW_SAMPLES} clear-link draws, seed {seed}")
+               f"rate law: geometric, {sedist.LAW_SAMPLES} clear-link draws, seed {seed}")
     click.echo(f"mu_star: {sol.mu_star:.6g} bit/s")
     click.echo(f"threshold: {sol.threshold_se:.6g} bit/s/Hz")
     if onoff:

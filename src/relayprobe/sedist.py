@@ -13,21 +13,30 @@ P(R >= rho), E[R * 1{R >= rho}], and E[(R - rho)+]. Tails are closed
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import replace
 
 import numpy as np
 
 from . import channel
 
+# clear-link draws in the rate law an OptimalThreshold policy is solved on
+LAW_SAMPLES = 10 ** 6
+
 
 class EmpiricalSe:
     """Rate law backed by sorted clear-link samples with precomputed suffix
     sums, so tail queries are O(log n). Every relay is clear until `at`
-    adds blockage."""
+    adds blockage.
+
+    The law takes ownership of a writable float64 array that owns its data:
+    it is sorted in place and becomes the law's read-only `samples`. Any
+    other input, such as a list, a view or another law's samples, is copied."""
 
     def __init__(self, samples):
         self._clear = 1.0
-        s = np.sort(np.asarray(samples, dtype=float))
+        s = np.require(samples, float, "WO")
+        s.sort()
         if s.size < 1:
             raise ValueError("need at least one sample")
         if s[0] < 0:
@@ -90,3 +99,18 @@ def build_empirical(cfg, n_samples: int, rng: np.random.Generator) -> EmpiricalS
         se[lo:lo + block] = channel.sample_two_hop_se_batch(
             rng, clear_cfg, min(block, n_samples - lo))[2]
     return EmpiricalSe(se).at(cfg.p_avail)
+
+
+def rate_law(cfg, seed: int) -> EmpiricalSe:
+    """The rate law an OptimalThreshold policy is solved on: LAW_SAMPLES
+    clear-link draws (`build_empirical`) on its own stream [seed, 2**31],
+    composed at cfg.p_avail. The clear-link law reads neither p_avail nor
+    the timing, so the last one built is kept for every p_avail and tau."""
+    clear_cfg = replace(cfg, p_avail=1.0, tau=1.0, T_data=1.0)
+    return _clear_law(clear_cfg, seed, LAW_SAMPLES).at(cfg.p_avail)
+
+
+@functools.lru_cache(maxsize=1)
+def _clear_law(clear_cfg, seed: int, n_samples: int) -> EmpiricalSe:
+    # looked up at each call, so a wrapper set on `sedist.build_empirical` sees every build
+    return build_empirical(clear_cfg, n_samples, np.random.default_rng([seed, 2 ** 31]))

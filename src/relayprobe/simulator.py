@@ -12,10 +12,9 @@ fixed-size chunks, each chunk drawing from its own substream seeded by
 
 from __future__ import annotations
 
-import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,11 +24,6 @@ from . import solver as _solver
 from .channel import BLOCK_PROBES, ConfigError, ScenarioConfig, check_number
 
 CHUNK_PERIODS = 4096
-# one substream id reserved for drawing the clear-link rate law that an
-# OptimalThreshold policy is resolved on
-_DIST_STREAM_ID = 2 ** 31
-# clear-link draws in the rate law an OptimalThreshold policy is solved on
-LAW_SAMPLES = 10 ** 6
 # a period that probes more relays than this ends in RunawayPeriodError
 MAX_PROBES = 10 ** 6
 # periods in one simulation: PeriodArrays holds 32 bytes per period, about
@@ -48,7 +42,7 @@ class RunawayPeriodError(RuntimeError):
 @dataclass(frozen=True)
 class OptimalThreshold:
     """Stop at the first relay whose rate reaches the solver's mu*/W, solved
-    by `optimal_solution` on LAW_SAMPLES clear-link draws."""
+    by `optimal_solution` on `sedist.rate_law`."""
 
 
 @dataclass(frozen=True)
@@ -84,25 +78,10 @@ class FixedBeta:
 StoppingPolicy = OptimalThreshold | ExplicitThreshold | FixedBeta
 
 
-@functools.lru_cache(maxsize=1)
-def _clear_law(clear_cfg: ScenarioConfig, seed: int,
-               n_samples: int) -> _sedist.EmpiricalSe:
-    """The clear-link rate law of `clear_cfg` (p_avail = 1, tau = T_data = 1),
-    drawn on stream [seed, 2**31]. It does not depend on p_avail or the
-    timing, so one build serves every point of a p_avail or tau sweep; the
-    law's arrays are read-only."""
-    rng = np.random.default_rng([seed, _DIST_STREAM_ID])
-    return _sedist.build_empirical(clear_cfg, n_samples, rng)
-
-
 def optimal_solution(cfg: ScenarioConfig, seed: int = 0) -> _solver.StoppingSolution:
-    """Solve the fixed point on the config's own rate law
-    (`sedist.build_empirical` on LAW_SAMPLES draws from `seed`). The last
-    clear-link law built is reused, so a p_avail or tau sweep draws it once."""
-    clear_cfg = replace(cfg, p_avail=1.0, tau=1.0, T_data=1.0)
-    dist = _clear_law(clear_cfg, seed, LAW_SAMPLES).at(cfg.p_avail)
-    return _solver.solve_mu_star(dist, cfg.bandwidth_W, cfg.T_data,
-                                 cfg.tau, cfg.p_avail)
+    """Solve the fixed point on the config's rate law, `sedist.rate_law`."""
+    return _solver.solve_mu_star(_sedist.rate_law(cfg, seed), cfg.bandwidth_W,
+                                 cfg.T_data, cfg.tau, cfg.p_avail)
 
 
 def resolve_policy(policy: StoppingPolicy, cfg: ScenarioConfig,

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy import stats
 
 import relayprobe as rp
-from relayprobe import channel, cli, simulator
+from relayprobe import channel, cli, sedist
 from relayprobe.channel import (BLOCK_PROBES, ConfigError, RelayRegion,
                                 ScenarioConfig, _disk_points, _hop_log10_snr,
                                 sample_two_hop_se_batch)
@@ -413,7 +413,7 @@ class TestRateFloor:
     def test_p_sweep_builds_the_plan_once(self, monkeypatch):
         # the plan is keyed on geometry and radio fields only, so a ten-point
         # p_avail sweep of threshold rows builds it once
-        monkeypatch.setattr(simulator, "LAW_SAMPLES", 1000)
+        monkeypatch.setattr(sedist, "LAW_SAMPLES", 1000)
         channel._bound_plan.cache_clear()
         spec = cli.SweepSpec("p_avail", tuple(np.linspace(0.1, 1.0, 10)),
                              ("optimal", "myopic"), 60, 3)

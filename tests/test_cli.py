@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import relayprobe as rp
-from relayprobe import simulator, solver
+from relayprobe import sedist, solver
 from relayprobe.cli import (SWEEP_COLUMNS, SweepSpec, main, parse_strategy,
                             run_sweep)
 from relayprobe.simulator import (MYOPIC, ExplicitThreshold, FixedBeta,
@@ -134,10 +134,10 @@ class TestSolveCommand:
 
     def test_empirical_mode_is_deterministic(self, runner, geo_cfg_path, tmp_path,
                                              monkeypatch):
-        monkeypatch.setattr(simulator, "LAW_SAMPLES", 20000)
+        monkeypatch.setattr(sedist, "LAW_SAMPLES", 20000)
         outs = []
         for name in ("a.json", "b.json"):
-            simulator._clear_law.cache_clear()
+            sedist._clear_law.cache_clear()
             out = tmp_path / name
             res = runner.invoke(main, ["solve", geo_cfg_path, "--seed", "3",
                                        "--out", str(out)])
@@ -148,7 +148,7 @@ class TestSolveCommand:
     def test_geometric_solve_equals_resolve(self, runner, geo_cfg_path, tmp_path,
                                             monkeypatch):
         # `solve` and the simulator's optimal threshold solve the same law
-        monkeypatch.setattr(simulator, "LAW_SAMPLES", 20000)
+        monkeypatch.setattr(sedist, "LAW_SAMPLES", 20000)
         out = tmp_path / "sol.json"
         res = runner.invoke(main, ["solve", geo_cfg_path, "--seed", "3",
                                    "--out", str(out)])

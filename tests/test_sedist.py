@@ -97,9 +97,10 @@ class TestConstruction:
 
     def test_suffix_sums_built_in_place(self):
         # the suffix sums accumulate from the largest sample down, as a
-        # reversed cumsum does, so their bits match it; the sorted copy and
-        # the suffix array are the build's only full-size arrays, 16 bytes
-        # per sample (a cumsum temporary and a concatenation added 8 more)
+        # reversed cumsum does, so their bits match it; the samples are
+        # sorted in place, so the suffix array is the build's only new
+        # full-size array, 8 bytes per sample (a sorted copy added 8 more,
+        # a cumsum temporary and a concatenation 8 more still)
         samples = np.random.default_rng(0).random(2 * 10 ** 5)
         EmpiricalSe(samples[:10])
         tracemalloc.start()
@@ -108,9 +109,32 @@ class TestConstruction:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 17 * samples.size
+        assert peak <= 9 * samples.size
         s = np.sort(samples)
         assert np.array_equal(law._suffix, np.concatenate([np.cumsum(s[::-1])[::-1], [0.0]]))
+
+    def test_writable_float_input_is_sorted_in_place(self):
+        # a writable float64 array that owns its data becomes the law's
+        # sorted, read-only samples; a read-only one, such as another law's
+        # samples, is copied
+        drawn = np.random.default_rng(3).random(1000)
+        law = EmpiricalSe(drawn)
+        assert law.samples is drawn
+        assert np.all(drawn[:-1] <= drawn[1:])
+        assert not drawn.flags.writeable
+        before = law.samples.copy()
+        twin = EmpiricalSe(law.samples)
+        assert twin.samples is not law.samples
+        assert np.array_equal(twin.samples, law.samples)
+        assert np.array_equal(law.samples, before)
+        assert not law.samples.flags.writeable
+        # another dtype or a view is copied, not written to
+        ints = np.array([3, 1, 2])
+        assert EmpiricalSe(ints).samples.tolist() == [1.0, 2.0, 3.0]
+        assert ints.tolist() == [3, 1, 2] and ints.flags.writeable
+        base = np.array([3.0, 1.0, 2.0, 0.5])
+        assert EmpiricalSe(base[:3]).samples.tolist() == [1.0, 2.0, 3.0]
+        assert base.tolist() == [3.0, 1.0, 2.0, 0.5] and base.flags.writeable
 
     def test_onoff_validation(self):
         with pytest.raises(ValueError):
@@ -174,10 +198,10 @@ class TestBuildEmpirical:
         assert np.array_equal(law.samples, np.sort(np.concatenate(blocks)))
 
     def test_law_build_memory_per_sample(self):
-        # the drawn samples, their sorted copy and the suffix sums hold 24
-        # bytes per sample (24.0 measured); a block's draws add a fixed
-        # amount, and one sampler call over every sample would add more
-        # per sample than the bound leaves
+        # the drawn samples, sorted in place, and the suffix sums hold 16
+        # bytes per sample (16.0 measured; a sorted copy added 8 more); a
+        # block's draws add a fixed amount, and one sampler call over every
+        # sample would add more per sample than the bound leaves
         cfg = rp.default_scenario()
         n = 2 * 10 ** 5
         build_empirical(cfg, 1000, np.random.default_rng(0))
@@ -187,7 +211,7 @@ class TestBuildEmpirical:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 27 * n
+        assert peak < 18 * n
 
     def test_invalid_sample_count(self):
         cfg = rp.default_scenario()

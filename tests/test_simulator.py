@@ -275,10 +275,10 @@ class TestResolvePolicy:
 
     def test_geometric_resolution_is_deterministic(self, monkeypatch):
         cfg = rp.default_scenario(p_avail=0.5)
-        monkeypatch.setattr(simulator, "LAW_SAMPLES", 10 ** 4)
-        simulator._clear_law.cache_clear()
+        monkeypatch.setattr(sedist, "LAW_SAMPLES", 10 ** 4)
+        sedist._clear_law.cache_clear()
         a = optimal_solution(cfg, 5).threshold_se
-        simulator._clear_law.cache_clear()
+        sedist._clear_law.cache_clear()
         b = optimal_solution(cfg, 5).threshold_se
         assert a == b
 
@@ -295,7 +295,7 @@ class TestClearLawMemo:
     def builds(self, monkeypatch):
         """The configs `sedist.build_empirical` is called with, from an empty
         memo."""
-        simulator._clear_law.cache_clear()
+        sedist._clear_law.cache_clear()
         calls = []
         build = sedist.build_empirical
 
@@ -305,7 +305,7 @@ class TestClearLawMemo:
 
         monkeypatch.setattr(sedist, "build_empirical", counted)
         yield calls
-        simulator._clear_law.cache_clear()
+        sedist._clear_law.cache_clear()
 
     def test_one_build_per_p_sweep(self, builds, monkeypatch):
         cfg = rp.default_scenario(tau=0.01)
@@ -332,7 +332,7 @@ class TestClearLawMemo:
         # the clear-link law does not read tau or T_data, so neither keys it
         cfg = rp.default_scenario(p_avail=0.4)
         taus = (0.01, 0.02, 0.05)
-        monkeypatch.setattr(simulator, "LAW_SAMPLES", 1000)
+        monkeypatch.setattr(sedist, "LAW_SAMPLES", 1000)
         rhos = [optimal_solution(dataclasses.replace(cfg, tau=t), 0).threshold_se
                 for t in taus]
         optimal_solution(dataclasses.replace(cfg, T_data=0.5), 0)
@@ -344,7 +344,7 @@ class TestClearLawMemo:
 
     def test_clear_law_change_rebuilds(self, builds, monkeypatch):
         cfg = rp.default_scenario(p_avail=0.3)
-        monkeypatch.setattr(simulator, "LAW_SAMPLES", 1000)
+        monkeypatch.setattr(sedist, "LAW_SAMPLES", 1000)
         optimal_solution(cfg, 1)
         optimal_solution(dataclasses.replace(cfg, p_avail=0.7), 1)
         # list-valued positions give the same, hashable config
@@ -356,14 +356,14 @@ class TestClearLawMemo:
         optimal_solution(dataclasses.replace(cfg, shadow_sigma=3.0), 1)
         optimal_solution(cfg, 2)
         # LAW_SAMPLES is read at each call, so changing it rebuilds
-        monkeypatch.setattr(simulator, "LAW_SAMPLES", 2000)
+        monkeypatch.setattr(sedist, "LAW_SAMPLES", 2000)
         optimal_solution(cfg, 2)
         assert len(builds) == 4
         assert builds[1].shadow_sigma == 3.0
         assert all(c.p_avail == 1.0 for c in builds)
 
     def test_cached_law_is_read_only(self, builds):
-        law = simulator._clear_law(rp.default_scenario(p_avail=1.0), 0, 1000)
+        law = sedist._clear_law(rp.default_scenario(p_avail=1.0), 0, 1000)
         assert law.at(0.4).samples is law.samples
         for arr in (law.samples, law._suffix):
             with pytest.raises(ValueError):
