@@ -7,12 +7,14 @@ T_data. Throughput is the renewal-reward ratio sum(bits)/sum(time).
 
 Replication is deterministic for any worker count: periods are processed in
 fixed-size chunks, each chunk drawing from its own substream seeded by
-(seed, chunk_index), and workers always own whole chunks.
+(seed, chunk_index), and workers, the calling process among them, always
+own whole chunks.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -31,6 +33,11 @@ MAX_PROBES = 10 ** 6
 MAX_PERIODS = 10 ** 7
 # batch-means error bars split the periods into this many batches
 N_BATCHES = 30
+# helpers are forked, not started by Python 3.14's POSIX default forkserver:
+# a forked helper has numpy imported and sees every module constant as the
+# caller set it, MAX_PROBES included
+_POOL_CONTEXT = (multiprocessing.get_context("fork")
+                 if "fork" in multiprocessing.get_all_start_methods() else None)
 
 
 class RunawayPeriodError(RuntimeError):
@@ -164,18 +171,25 @@ def simulate_periods(policy: StoppingPolicy, cfg: ScenarioConfig, n_periods: int
         raise ConfigError("workers must be >= 1")
     policy = resolve_policy(policy, cfg, seed)
     n_chunks = (n_periods + CHUNK_PERIODS - 1) // CHUNK_PERIODS
-    sizes = [min(CHUNK_PERIODS, n_periods - i * CHUNK_PERIODS) for i in range(n_chunks)]
-    args = ([policy] * n_chunks, [cfg] * n_chunks, [seed] * n_chunks,
-            range(n_chunks), sizes)
+    args = [(policy, cfg, seed, i, min(CHUNK_PERIODS, n_periods - i * CHUNK_PERIODS))
+            for i in range(n_chunks)]
     if workers > 1 and n_chunks > 1:
-        # a forked worker would otherwise pay numpy's first-Generator setup
+        # the caller is one of the w workers: it runs chunks 0, w, 2w, ...
+        # while w - 1 forked helpers run the rest
+        w = min(workers, n_chunks)
+        # a forked helper would otherwise pay numpy's first-Generator setup
         np.random.default_rng(0)
-        # fork starts every worker at the first submit, so never more than
-        # there are chunks
-        with ProcessPoolExecutor(max_workers=min(workers, n_chunks)) as pool:
-            chunks = list(pool.map(_simulate_chunk, *args))
+        pool = ProcessPoolExecutor(max_workers=w - 1, mp_context=_POOL_CONTEXT)
+        try:
+            helped = {i: pool.submit(_simulate_chunk, *a)
+                      for i, a in enumerate(args) if i % w}
+            own = {i: _simulate_chunk(*a) for i, a in enumerate(args) if i % w == 0}
+            chunks = [helped[i].result() if i % w else own[i] for i in range(n_chunks)]
+        finally:
+            # on a raise, helpers drop their pending chunks and exit
+            pool.shutdown(cancel_futures=True)
     else:
-        chunks = list(map(_simulate_chunk, *args))
+        chunks = [_simulate_chunk(*a) for a in args]
     return PeriodArrays(
         np.concatenate([c.n_probed for c in chunks]),
         np.concatenate([c.period_time for c in chunks]),

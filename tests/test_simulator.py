@@ -1,7 +1,9 @@
 import csv
 import dataclasses
 import math
+import multiprocessing
 import tracemalloc
+from concurrent.futures import Future
 from fractions import Fraction
 
 import numpy as np
@@ -424,35 +426,67 @@ class TestDeterminism:
         assert np.array_equal(serial.n_probed, parallel.n_probed)
 
     def test_pool_start(self, monkeypatch):
-        # fork starts all max_workers processes at the first submit, so the
-        # pool is never larger than the chunk count; numpy's random module is
-        # set up before the fork so no worker pays for it
+        # the caller is one of the w = min(workers, chunks) workers: numpy's
+        # random module is set up before the fork so no helper pays for it,
+        # the pool forks w - 1 helpers, the caller runs chunks 0, w, 2w, ...
+        # and the helpers run the rest
         events = []
 
         class FakePool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, mp_context):
                 events.append(("pool", max_workers))
+                if "fork" in multiprocessing.get_all_start_methods():
+                    assert mp_context.get_start_method() == "fork"
 
-            def __enter__(self):
-                return self
+            def submit(self, fn, *args):
+                events.append(("helper", args[3]))
+                future = Future()
+                future.set_result(chunk(*args))
+                return future
 
-            def __exit__(self, *exc):
-                return False
+            def shutdown(self, cancel_futures=False):
+                # a raising row must not wait for the helpers' pending chunks
+                events.append(("shutdown", cancel_futures))
 
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
+        chunk = simulator._simulate_chunk
         default_rng = np.random.default_rng
         monkeypatch.setattr(simulator, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(simulator, "_simulate_chunk",
+                            lambda *a: events.append(("caller", a[3])) or chunk(*a))
         monkeypatch.setattr(np.random, "default_rng",
                             lambda *a: events.append("rng") or default_rng(*a))
         cfg = onoff_cfg()
+        for workers, n_chunks, pool, caller in [(500, 3, 2, [0]), (2, 5, 1, [0, 2, 4])]:
+            events.clear()
+            n = (n_chunks - 1) * CHUNK_PERIODS + 1
+            pooled = simulate_periods(MYOPIC, cfg, n, seed=8, workers=workers)
+            assert events[:2] == ["rng", ("pool", pool)]
+            steps = [e for e in events[2:] if e != "rng"]
+            helpers = [i for i in range(n_chunks) if i not in caller]
+            assert steps == ([("helper", i) for i in helpers] +
+                             [("caller", i) for i in caller] + [("shutdown", True)])
+            serial = simulate_periods(MYOPIC, cfg, n, seed=8, workers=1)
+            assert all(np.array_equal(a, b) for a, b in
+                       zip(dataclasses.astuple(pooled), dataclasses.astuple(serial)))
+
+    def test_no_helper_outlives_its_row(self, monkeypatch):
+        # a threshold above se_cap runs away in every chunk: the row's error
+        # cell does not depend on the worker count, and every helper has
+        # exited when the row returns or raises
+        monkeypatch.setattr(simulator, "MAX_PROBES", 1000)
+        cfg = onoff_cfg()
+        rho = math.nextafter(cfg.se_cap, math.inf)
         n = 2 * CHUNK_PERIODS + 1
-        pooled = simulate_periods(MYOPIC, cfg, n, seed=8, workers=500)
-        assert events[:2] == ["rng", ("pool", 3)]
-        serial = simulate_periods(MYOPIC, cfg, n, seed=8, workers=1)
-        assert all(np.array_equal(a, b) for a, b in
-                   zip(dataclasses.astuple(pooled), dataclasses.astuple(serial)))
+        spec = cli.SweepSpec("p_avail", (0.5,), ("myopic", f"threshold:{rho!r}"), n, 0)
+        rows = {}
+        for workers in (1, 2, 3):
+            rows[workers] = cli.sweep_rows(cfg, spec, workers)
+            assert multiprocessing.active_children() == []
+            with pytest.raises(RunawayPeriodError):
+                simulate_periods(ExplicitThreshold(rho), cfg, n, 0, workers)
+            assert multiprocessing.active_children() == []
+        assert rows[1][1][-1].startswith("RunawayPeriodError"), rows[1]
+        assert rows[1] == rows[2] == rows[3]
 
     def test_different_seeds_differ(self):
         cfg = onoff_cfg()
