@@ -7,7 +7,6 @@ from .sedist import EmpiricalSe, build_empirical
 from .simulator import (MYOPIC, ExplicitThreshold, FixedBeta,
                         OptimalThreshold, ThroughputEstimate,
                         estimate_throughput, simulate_periods)
-from .solver import (StoppingSolution, closed_form_onoff, genie_ratio_onoff,
-                     solve_mu_star)
+from .solver import StoppingSolution, closed_form_onoff, solve_mu_star
 
 __version__ = "0.1.0"

@@ -117,10 +117,8 @@ def _simulate_chunk(policy, cfg, seed, chunk_index, n_periods):
     back: period i ends at the i-th stop. A threshold stops at each accepted
     probe, FixedBeta at every beta-th probe (its blocks hold whole periods).
     Each block is reduced as it is drawn, so memory is O(block + n_periods)
-    however many probes a period takes. A period lasts tau per probe plus
-    tau per clear first hop, counted in integers, plus T_data."""
+    however many probes a period takes; returns (n_probed, n_first, rate)."""
     rng = np.random.default_rng([seed, chunk_index])
-    W, T, tau = cfg.bandwidth_W, cfg.T_data, cfg.tau
     beta = policy.beta if isinstance(policy, FixedBeta) else None
     stop_idx = np.empty(n_periods, dtype=np.int64)
     first_at_stop = np.empty(n_periods, dtype=np.int64)
@@ -155,14 +153,13 @@ def _simulate_chunk(policy, cfg, seed, chunk_index, n_periods):
     if n_probed.max() > MAX_PROBES:
         raise RunawayPeriodError(
             f"no stop within {MAX_PROBES} probes; threshold above support?")
-    n_first = np.diff(first_at_stop, prepend=0)
-    return PeriodArrays(n_probed, tau * (n_probed + n_first) + T,
-                        W * T * rate, rate)
+    return n_probed, np.diff(first_at_stop, prepend=0), rate
 
 
 def simulate_periods(policy: StoppingPolicy, cfg: ScenarioConfig, n_periods: int,
                      seed: int, workers: int = 1) -> PeriodArrays:
-    """Simulate n_periods independent periods, bit-identical for any workers."""
+    """Simulate n_periods independent periods, bit-identical for any workers.
+    A period lasts tau per probe and per clear first hop, plus T_data."""
     if not 1 <= check_number(n_periods, "n_periods", integer=True) <= MAX_PERIODS:
         raise ConfigError(f"n_periods must be in [1, {MAX_PERIODS}]")
     if check_number(seed, "seed", integer=True) < 0:
@@ -190,12 +187,9 @@ def simulate_periods(policy: StoppingPolicy, cfg: ScenarioConfig, n_periods: int
             pool.shutdown(cancel_futures=True)
     else:
         chunks = [_simulate_chunk(*a) for a in args]
-    return PeriodArrays(
-        np.concatenate([c.n_probed for c in chunks]),
-        np.concatenate([c.period_time for c in chunks]),
-        np.concatenate([c.bits for c in chunks]),
-        np.concatenate([c.selected_se for c in chunks]),
-    )
+    n_probed, n_first, rate = (np.concatenate(c) for c in zip(*chunks))
+    return PeriodArrays(n_probed, cfg.tau * (n_probed + n_first) + cfg.T_data,
+                        cfg.bandwidth_W * cfg.T_data * rate, rate)
 
 
 # -- throughput estimation -------------------------------------------------

@@ -97,10 +97,3 @@ def closed_form_onoff(p: float, r_bar: float, W: float, T: float,
     dist = EmpiricalSe([r_bar]).at(p)
     res = fixed_point_residual(dist, mu, W, T, tau, p)
     return StoppingSolution(mu, mu / W, 0, res, "closed_form")
-
-
-def genie_ratio_onoff(p: float, tau: float, T: float) -> float:
-    """Optimally-stopped over genie-aided throughput for on/off links."""
-    if not (0.0 < p <= 1.0):
-        raise ValueError("p must be in (0, 1]")
-    return 1.0 / (1.0 + (1.0 + p) / (p * p) * (tau / T))

@@ -271,6 +271,53 @@ class TestRelaySampling:
         r = np.hypot(pos[:, 0], pos[:, 1]) / cfg.relay_region.radius
         assert stats.kstest(r, lambda x: x ** 2).pvalue > 0.01
 
+    def test_angle_is_uniform_about_the_centre(self):
+        region = RelayRegion((20.0, 40.0), 250.0)
+        n, bins = 10 ** 5, 16
+        rng = np.random.default_rng(9)
+        x, y = _disk_points(rng.random(n), rng.random(n), region)
+        theta = np.arctan2(y - region.center[1], x - region.center[0]) % (2 * np.pi)
+        counts = np.bincount((theta * (bins / (2 * np.pi))).astype(int) % bins,
+                             minlength=bins)
+        assert np.all(np.abs(counts - n / bins) < 6 * math.sqrt(n / bins)), counts
+
+    def test_hop_shadowings_are_independent_with_sigma(self, hop_calls):
+        cfg = rp.default_scenario(p_avail=1.0)
+        n, sigma = 10 ** 5, cfg.shadow_sigma
+        sample_two_hop_se_batch(np.random.default_rng(10), cfg, n)
+        shadows = [np.broadcast_to(s, n) for _, _, s in hop_calls]
+        assert len(shadows) == 2
+        # the sample sd of n normals has standard error sigma/sqrt(2n)
+        for s in shadows:
+            assert abs(s.std() - sigma) < 5 * sigma / math.sqrt(2 * n)
+        assert abs(np.corrcoef(*shadows)[0, 1]) < 5 / math.sqrt(n)
+
+    def test_each_hop_measures_from_its_own_endpoint(self, hop_calls):
+        # both endpoints outside the disk, off one axis, so a swap shows:
+        # the source is 150 m and the destination 70 m from the disk's edge
+        cfg = rp.default_scenario(p_avail=1.0, source_pos=(-400.0, 0.0),
+                                  dest_pos=(0.0, 320.0))
+        sample_two_hop_se_batch(np.random.default_rng(11), cfg, 10 ** 5)
+        d = {tx: d for tx, d, _ in hop_calls}
+        assert len(hop_calls) == 2 and set(d) == {cfg.tx_power_bs, cfg.tx_power_dev}
+        assert d[cfg.tx_power_bs].min() >= 150.0
+        assert d[cfg.tx_power_dev].min() >= 70.0
+
+
+@pytest.fixture
+def hop_calls(monkeypatch):
+    """(tx power, distances, shadowing) of each `_hop_log10_snr` call."""
+    calls = []
+    hop = channel._hop_log10_snr
+
+    def recorded(cfg, tx_dbm, g_tx, g_rx, d, shadow_db):
+        # the budget overwrites d, so it is copied first
+        calls.append((tx_dbm, d.copy(), np.copy(shadow_db)))
+        return hop(cfg, tx_dbm, g_tx, g_rx, d, shadow_db)
+
+    monkeypatch.setattr(channel, "_hop_log10_snr", recorded)
+    return calls
+
 
 @st.composite
 def floor_cases(draw):
@@ -422,26 +469,19 @@ class TestRateFloor:
         assert channel._bound_plan.cache_info().misses == 1
         channel._bound_plan.cache_clear()
 
-    def test_exact_budget_runs_only_near_accepted_relays(self, monkeypatch):
+    def test_exact_budget_runs_only_near_accepted_relays(self, hop_calls):
         # at p = 0.9 and the clear law's q99, the relays that get the exact
         # link budget are at most 1.1 times those accepted, so a bound that
         # silently kept every relay fails here
         cfg = rp.default_scenario(p_avail=0.9)
         law = build_empirical(cfg, 10 ** 5, np.random.default_rng(7))
         floor = float(np.quantile(law.samples, 0.99))
-        budgeted = []
-        hop = channel._hop_log10_snr
-
-        def counted(cfg, tx_dbm, g_tx, g_rx, d, shadow_db):
-            budgeted.append(d.size)
-            return hop(cfg, tx_dbm, g_tx, g_rx, d, shadow_db)
-
-        monkeypatch.setattr(channel, "_hop_log10_snr", counted)
+        hop_calls.clear()  # the law build's budgets
         _, _, se = sample_two_hop_se_batch(np.random.default_rng(8), cfg, 10 ** 6, floor)
         accepted = np.count_nonzero(se >= floor)
         assert accepted > 1000
         # each kept relay runs the budget once per hop
-        assert sum(budgeted) / 2 <= 1.1 * accepted
+        assert sum(d.size for _, d, _ in hop_calls) / 2 <= 1.1 * accepted
 
 
 class TestScenarioConfig:

@@ -113,6 +113,20 @@ class TestSolveCommand:
         assert res.output.splitlines()[0] == "rate law: onoff"
         assert "genie_ratio" in res.output
 
+    def test_genie_ratio_is_closed_form_over_genie(self, runner, tmp_path):
+        # on on/off links the printed ratio is the exact optimum over the
+        # genie bound W*se_cap
+        path = tmp_path / "cfg.json"
+        for p in (0.1, 0.5, 0.77, 1.0):
+            for tau in (0.001, 0.05):
+                cfg = rp.default_scenario(p_avail=p, tau=tau, channel_mode="onoff")
+                cfg.to_json(path)
+                res = runner.invoke(main, ["solve", str(path)])
+                assert res.exit_code == 0, res.output
+                W, r = cfg.bandwidth_W, cfg.se_cap
+                mu = solver.closed_form_onoff(p, r, W, cfg.T_data, tau).mu_star
+                assert f"genie_ratio: {mu / (W * r):.6g}" in res.output.splitlines()
+
     def test_zero_overhead_unsupported_config(self, runner, tmp_path):
         # tau = 0 violates the config contract and must fail cleanly
         cfg = rp.default_scenario().to_dict()

@@ -1,11 +1,14 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import relayprobe as rp
-from relayprobe.channel import BLOCK_PROBES, sample_two_hop_se_batch
+from relayprobe import cli, sedist, simulator, solver
+from relayprobe.channel import BLOCK_PROBES, RelayRegion, sample_two_hop_se_batch
 from relayprobe.sedist import EmpiricalSe, build_empirical
+from relayprobe.simulator import ExplicitThreshold, optimal_solution
 
 
 @pytest.fixture
@@ -218,3 +221,82 @@ class TestBuildEmpirical:
         with pytest.raises(ValueError):
             build_empirical(cfg, 0, np.random.default_rng(0))
 
+
+class TestClearLawMemo:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The configs `sedist.build_empirical` is called with, from an empty
+        memo."""
+        sedist._clear_law.cache_clear()
+        calls = []
+        build = sedist.build_empirical
+
+        def counted(cfg, *args):
+            calls.append(cfg)
+            return build(cfg, *args)
+
+        monkeypatch.setattr(sedist, "build_empirical", counted)
+        yield calls
+        sedist._clear_law.cache_clear()
+
+    def test_one_build_per_p_sweep(self, builds, monkeypatch):
+        cfg = rp.default_scenario(tau=0.01)
+        spec = cli.SweepSpec("p_avail", (0.2, 0.5, 0.8), ("optimal",), 60, 4)
+        rhos = []
+        resolve = simulator.resolve_policy
+
+        def recording(policy, cfg_pt, seed=0):
+            rhos.append(resolve(policy, cfg_pt, seed).rho)
+            return ExplicitThreshold(rhos[-1])
+
+        monkeypatch.setattr(simulator, "resolve_policy", recording)
+        rows = cli.sweep_rows(cfg, spec)
+        assert [r[-1] for r in rows] == ["", "", ""]
+        assert len(builds) == 1
+        # each row solves exactly the law a fresh build at its p gives
+        for p, rho in zip(spec.grid, rhos):
+            cfg_p = dataclasses.replace(cfg, p_avail=p)
+            law = sedist.build_empirical(cfg_p, 10 ** 6, np.random.default_rng([4, 2 ** 31]))
+            fresh = solver.solve_mu_star(law, cfg.bandwidth_W, cfg.T_data, cfg.tau, p)
+            assert rho == fresh.threshold_se
+
+    def test_one_build_per_tau_sweep(self, builds, monkeypatch):
+        # the clear-link law does not read tau or T_data, so neither keys it
+        cfg = rp.default_scenario(p_avail=0.4)
+        taus = (0.01, 0.02, 0.05)
+        monkeypatch.setattr(sedist, "LAW_SAMPLES", 1000)
+        rhos = [optimal_solution(dataclasses.replace(cfg, tau=t), 0).threshold_se
+                for t in taus]
+        optimal_solution(dataclasses.replace(cfg, T_data=0.5), 0)
+        assert len(builds) == 1
+        for t, rho in zip(taus, rhos):
+            law = sedist.build_empirical(cfg, 1000, np.random.default_rng([0, 2 ** 31]))
+            fresh = solver.solve_mu_star(law, cfg.bandwidth_W, cfg.T_data, t, 0.4)
+            assert rho == fresh.threshold_se
+
+    def test_clear_law_change_rebuilds(self, builds, monkeypatch):
+        cfg = rp.default_scenario(p_avail=0.3)
+        monkeypatch.setattr(sedist, "LAW_SAMPLES", 1000)
+        optimal_solution(cfg, 1)
+        optimal_solution(dataclasses.replace(cfg, p_avail=0.7), 1)
+        # list-valued positions give the same, hashable config
+        region = cfg.relay_region
+        optimal_solution(dataclasses.replace(
+            cfg, source_pos=list(cfg.source_pos), dest_pos=list(cfg.dest_pos),
+            relay_region=RelayRegion(list(region.center), region.radius)), 1)
+        assert len(builds) == 1
+        optimal_solution(dataclasses.replace(cfg, shadow_sigma=3.0), 1)
+        optimal_solution(cfg, 2)
+        # LAW_SAMPLES is read at each call, so changing it rebuilds
+        monkeypatch.setattr(sedist, "LAW_SAMPLES", 2000)
+        optimal_solution(cfg, 2)
+        assert len(builds) == 4
+        assert builds[1].shadow_sigma == 3.0
+        assert all(c.p_avail == 1.0 for c in builds)
+
+    def test_cached_law_is_read_only(self, builds):
+        law = sedist._clear_law(rp.default_scenario(p_avail=1.0), 0, 1000)
+        assert law.at(0.4).samples is law.samples
+        for arr in (law.samples, law._suffix):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0

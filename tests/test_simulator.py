@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import relayprobe as rp
-from relayprobe import cli, sedist, simulator, solver
+from relayprobe import cli, sedist, simulator
 from relayprobe.channel import (ConfigError, RelayRegion, ScenarioConfig,
                                 sample_two_hop_se_batch)
 from relayprobe.simulator import (BLOCK_PROBES, CHUNK_PERIODS, MYOPIC,
@@ -160,8 +160,8 @@ class TestFixedBetaBound:
         policy = FixedBeta(beta)
         assert type(policy.beta) is int
         cfg = onoff_cfg()
-        assert_same_arrays(simulate_periods(policy, cfg, 300, 5),
-                           simulate_periods(FixedBeta(int(beta)), cfg, 300, 5))
+        assert_same_arrays(*(dataclasses.astuple(simulate_periods(pol, cfg, 300, 5))
+                             for pol in (policy, FixedBeta(int(beta)))))
 
 
 class TestExplicitThreshold:
@@ -290,86 +290,6 @@ class TestResolvePolicy:
         # 0.5% of the renewal-reward optimum of criterion 5, 122.7 Mbit/s
         sol = optimal_solution(rp.default_scenario(p_avail=0.1, tau=0.01), 13)
         assert sol.mu_star == pytest.approx(122.7e6, rel=5e-3)
-
-
-class TestClearLawMemo:
-    @pytest.fixture
-    def builds(self, monkeypatch):
-        """The configs `sedist.build_empirical` is called with, from an empty
-        memo."""
-        sedist._clear_law.cache_clear()
-        calls = []
-        build = sedist.build_empirical
-
-        def counted(cfg, *args):
-            calls.append(cfg)
-            return build(cfg, *args)
-
-        monkeypatch.setattr(sedist, "build_empirical", counted)
-        yield calls
-        sedist._clear_law.cache_clear()
-
-    def test_one_build_per_p_sweep(self, builds, monkeypatch):
-        cfg = rp.default_scenario(tau=0.01)
-        spec = cli.SweepSpec("p_avail", (0.2, 0.5, 0.8), ("optimal",), 60, 4)
-        rhos = []
-        resolve = simulator.resolve_policy
-
-        def recording(policy, cfg_pt, seed=0):
-            rhos.append(resolve(policy, cfg_pt, seed).rho)
-            return ExplicitThreshold(rhos[-1])
-
-        monkeypatch.setattr(simulator, "resolve_policy", recording)
-        rows = cli.sweep_rows(cfg, spec)
-        assert [r[-1] for r in rows] == ["", "", ""]
-        assert len(builds) == 1
-        # each row solves exactly the law a fresh build at its p gives
-        for p, rho in zip(spec.grid, rhos):
-            cfg_p = dataclasses.replace(cfg, p_avail=p)
-            law = sedist.build_empirical(cfg_p, 10 ** 6, np.random.default_rng([4, 2 ** 31]))
-            fresh = solver.solve_mu_star(law, cfg.bandwidth_W, cfg.T_data, cfg.tau, p)
-            assert rho == fresh.threshold_se
-
-    def test_one_build_per_tau_sweep(self, builds, monkeypatch):
-        # the clear-link law does not read tau or T_data, so neither keys it
-        cfg = rp.default_scenario(p_avail=0.4)
-        taus = (0.01, 0.02, 0.05)
-        monkeypatch.setattr(sedist, "LAW_SAMPLES", 1000)
-        rhos = [optimal_solution(dataclasses.replace(cfg, tau=t), 0).threshold_se
-                for t in taus]
-        optimal_solution(dataclasses.replace(cfg, T_data=0.5), 0)
-        assert len(builds) == 1
-        for t, rho in zip(taus, rhos):
-            law = sedist.build_empirical(cfg, 1000, np.random.default_rng([0, 2 ** 31]))
-            fresh = solver.solve_mu_star(law, cfg.bandwidth_W, cfg.T_data, t, 0.4)
-            assert rho == fresh.threshold_se
-
-    def test_clear_law_change_rebuilds(self, builds, monkeypatch):
-        cfg = rp.default_scenario(p_avail=0.3)
-        monkeypatch.setattr(sedist, "LAW_SAMPLES", 1000)
-        optimal_solution(cfg, 1)
-        optimal_solution(dataclasses.replace(cfg, p_avail=0.7), 1)
-        # list-valued positions give the same, hashable config
-        region = cfg.relay_region
-        optimal_solution(dataclasses.replace(
-            cfg, source_pos=list(cfg.source_pos), dest_pos=list(cfg.dest_pos),
-            relay_region=RelayRegion(list(region.center), region.radius)), 1)
-        assert len(builds) == 1
-        optimal_solution(dataclasses.replace(cfg, shadow_sigma=3.0), 1)
-        optimal_solution(cfg, 2)
-        # LAW_SAMPLES is read at each call, so changing it rebuilds
-        monkeypatch.setattr(sedist, "LAW_SAMPLES", 2000)
-        optimal_solution(cfg, 2)
-        assert len(builds) == 4
-        assert builds[1].shadow_sigma == 3.0
-        assert all(c.p_avail == 1.0 for c in builds)
-
-    def test_cached_law_is_read_only(self, builds):
-        law = sedist._clear_law(rp.default_scenario(p_avail=1.0), 0, 1000)
-        assert law.at(0.4).samples is law.samples
-        for arr in (law.samples, law._suffix):
-            with pytest.raises(ValueError):
-                arr[0] = 1.0
 
 
 class TestEstimateThroughput:
@@ -577,14 +497,12 @@ def flat_oracle(policy, cfg, seed, chunk_index, n_periods):
         raise RunawayPeriodError("span")
     n_first = np.diff(np.cumsum(np.concatenate(chi1_parts), dtype=np.int64)[stop_idx],
                       prepend=0)
-    rate = np.concatenate(rate_parts)[stop_idx]
-    W, T = cfg.bandwidth_W, cfg.T_data
-    return simulator.PeriodArrays(n_probed, cfg.tau * (n_probed + n_first) + T,
-                                  W * T * rate, rate)
+    return n_probed, n_first, np.concatenate(rate_parts)[stop_idx]
 
 
 def assert_same_arrays(a, b):
-    for x, y in zip(dataclasses.astuple(a), dataclasses.astuple(b)):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
         assert x.dtype == y.dtype
         assert np.array_equal(x, y)
 
@@ -657,8 +575,8 @@ class TestStreamedEngine:
             scripted.drawn = 0
             monkeypatch.setattr(simulator, "MAX_PROBES", max_probes)
             if ok:
-                got = simulator._simulate_chunk(MYOPIC, onoff_cfg(), 0, 0, 3)
-                assert got.n_probed.tolist() == [stops[0] + 1, span, 1]
+                n_probed, _, _ = simulator._simulate_chunk(MYOPIC, onoff_cfg(), 0, 0, 3)
+                assert n_probed.tolist() == [stops[0] + 1, span, 1]
             else:
                 with pytest.raises(RunawayPeriodError):
                     simulator._simulate_chunk(MYOPIC, onoff_cfg(), 0, 0, 3)
@@ -672,8 +590,24 @@ class TestStreamedEngine:
                             lambda rng, cfg, n, floor=0.0: (np.ones(n, np.int8),
                                                             np.ones(n, np.int8), se))
         monkeypatch.setattr(simulator, "MAX_PROBES", 100)
-        got = simulator._simulate_chunk(MYOPIC, onoff_cfg(), 0, 0, 2)
-        assert got.n_probed.tolist() == [6, 5]
+        n_probed, n_first, rate = simulator._simulate_chunk(MYOPIC, onoff_cfg(), 0, 0, 2)
+        assert n_probed.tolist() == [6, 5]
+        assert n_first.tolist() == [6, 5]
+        assert rate.tolist() == [1.0, 1.0]
+
+    def test_periods_formed_from_chunk_counts(self):
+        # the chunks return counts; simulate_periods joins them and forms
+        # period time and bits once, in this operation order
+        cfg = rp.default_scenario(p_avail=0.9)
+        arr = simulate_periods(MYOPIC, cfg, CHUNK_PERIODS + 5, 3)
+        chunks = [simulator._simulate_chunk(MYOPIC, cfg, 3, i, n)
+                  for i, n in enumerate((CHUNK_PERIODS, 5))]
+        n_probed, n_first, rate = (np.concatenate(c) for c in zip(*chunks))
+        assert np.array_equal(arr.n_probed, n_probed)
+        assert np.array_equal(arr.period_time,
+                              cfg.tau * (n_probed + n_first) + cfg.T_data)
+        assert np.array_equal(arr.bits, cfg.bandwidth_W * cfg.T_data * rate)
+        assert np.array_equal(arr.selected_se, rate)
 
     @pytest.mark.parametrize("p", [1.0, 0.05])
     def test_period_time_on_probe_lattice(self, p):
@@ -711,10 +645,8 @@ def fixed_oracle(beta, cfg, seed, chunk_index, n_periods, periods_per_draw):
              for i in range(0, n_periods, periods_per_draw)]
     chi1 = np.concatenate([d[0] for d in draws]).reshape(n_periods, beta)
     best = np.concatenate([d[2] for d in draws]).reshape(n_periods, beta).max(axis=1)
-    W, T = cfg.bandwidth_W, cfg.T_data
-    return simulator.PeriodArrays(np.full(n_periods, beta, dtype=np.int64),
-                                  cfg.tau * (beta + chi1.sum(axis=1)) + T,
-                                  W * T * best, best)
+    return (np.full(n_periods, beta, dtype=np.int64),
+            chi1.sum(axis=1, dtype=np.int64), best)
 
 
 class TestFixedBetaBlocks:

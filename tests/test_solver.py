@@ -7,8 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from relayprobe import solver
 from relayprobe.sedist import EmpiricalSe
 from relayprobe.solver import (ConvergenceError, DegenerateDistributionError,
-                               closed_form_onoff, genie_ratio_onoff,
-                               solve_mu_star)
+                               closed_form_onoff, solve_mu_star)
 from solver_oracles import (InfeasibleError, bisect_mu_star, newton_iterates,
                             ordinary_value, solve_rho)
 
@@ -80,18 +79,23 @@ class TestClosedForm:
         assert all(a < b for a, b in zip(mus, mus[1:]))
 
 
+def genie_ratio(p, r_bar, W, T, tau):
+    """The on/off optimum over the genie bound W*r_bar, as `solve` prints it."""
+    return closed_form_onoff(p, r_bar, W, T, tau).mu_star / (W * r_bar)
+
+
 class TestGenieRatio:
     def test_always_available(self):
-        assert genie_ratio_onoff(1.0, 0.05, 1.0) == pytest.approx(1 / 1.1, rel=1e-12)
+        assert genie_ratio(1.0, 2.0, 3.0, 1.0, 0.05) == pytest.approx(1 / 1.1, rel=1e-12)
 
     def test_no_overhead(self):
-        assert genie_ratio_onoff(0.3, 0.0, 1.0) == 1.0
+        assert genie_ratio(0.3, 2.0, 1.0, 1.0, 0.0) == 1.0
 
     def test_consistent_with_closed_form(self):
-        ratio = genie_ratio_onoff(0.5, 0.01, 1.0)
-        assert ratio == pytest.approx(1 / 1.06, rel=1e-12)
-        sol = closed_form_onoff(0.5, 2.0, 1.0, 1.0, 0.01)
-        assert ratio == pytest.approx(sol.mu_star / 2.0, rel=1e-12)
+        # 1 / (1 + (1+p)/p^2 * tau/T), whatever W and r_bar
+        for W, r_bar in ((1.0, 2.0), (1e8, 8.0)):
+            ratio = genie_ratio(0.5, r_bar, W, 1.0, 0.01)
+            assert ratio == pytest.approx(1 / 1.06, rel=1e-12)
 
 
 class TestSolveMuStar:
