@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -25,8 +26,9 @@ LAW_SAMPLES = 10 ** 6
 
 
 class EmpiricalSe:
-    """Rate law backed by sorted clear-link samples with precomputed suffix
-    sums, so tail queries are O(log n). Every relay is clear until `at`
+    """Rate law backed by sorted clear-link samples and their suffix sums at
+    every s-th sample, s = ceil(sqrt(n)), so a law holds 8 bytes per sample
+    and a tail query is O(log n + sqrt(n)). Every relay is clear until `at`
     adds blockage.
 
     The law takes ownership of a writable float64 array that owns its data:
@@ -39,19 +41,21 @@ class EmpiricalSe:
         s.sort()
         if s.size < 1:
             raise ValueError("need at least one sample")
-        if s[0] < 0:
-            raise ValueError("samples must be nonnegative")
+        if s[0] < 0 or not np.isfinite(s[-1]):  # a NaN sorts last, after inf
+            raise ValueError("samples must be finite and nonnegative")
         self.samples = s
-        # _suffix[i] = sum of samples[i:], accumulated from the largest
-        # sample down, straight into place
-        self._suffix = np.zeros(s.size + 1)
-        np.cumsum(s[::-1], out=self._suffix[-2::-1])
+        # _anchors[j] = sum of samples[j*stride:], built one stride at a time
+        # from the largest sample down; the last anchor is the empty sum
+        self._stride = stride = math.isqrt(s.size - 1) + 1
+        self._anchors = np.zeros(-(-s.size // stride) + 1)
+        for j in range(self._anchors.size - 2, -1, -1):
+            self._anchors[j] = _sum_down(self._anchors[j + 1], s[j * stride:(j + 1) * stride])
         # laws composed by `at` share both arrays
-        s.flags.writeable = self._suffix.flags.writeable = False
+        s.flags.writeable = self._anchors.flags.writeable = False
 
     def at(self, p_avail: float) -> "EmpiricalSe":
         """The same clear-link law composed with blockage at p_avail. Shares
-        the sorted samples and suffix sums instead of sorting again."""
+        the sorted samples and anchors instead of sorting again."""
         if not (0.0 < p_avail <= 1.0):
             raise ValueError("p_avail must be in (0, 1]")
         law = copy.copy(self)
@@ -71,13 +75,22 @@ class EmpiricalSe:
 
     def mean_above(self, rho: float) -> float:
         i = self._first_at_or_above(rho)
-        return self._clear * (self._suffix[i] / self.samples.size)
+        j = -(-i // self._stride)  # the anchor at or above i
+        total = _sum_down(self._anchors[j], self.samples[i:j * self._stride])
+        return self._clear * (total / self.samples.size)
 
     def expected_excess(self, rho: float) -> float:
         return self.mean_above(rho) - rho * self.tail_prob(rho)
 
     def mean(self) -> float:
         return self.mean_above(0.0)
+
+
+def _sum_down(start: float, block) -> float:
+    """start + block[-1] + block[-2] + ... + block[0], added in that order,
+    as a cumsum over the reversed samples adds them, so a sum finished from
+    an anchor has the bits of the full reversed cumsum."""
+    return float(np.cumsum(np.concatenate(([start], block[::-1])))[-1])
 
 
 def build_empirical(cfg, n_samples: int, rng: np.random.Generator) -> EmpiricalSe:

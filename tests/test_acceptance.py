@@ -17,10 +17,11 @@ from click.testing import CliRunner
 import relayprobe as rp
 from relayprobe.channel import sample_two_hop_se_batch
 from relayprobe.cli import main
+from relayprobe import sedist
 from relayprobe.sedist import EmpiricalSe, build_empirical
 from relayprobe.simulator import (CHUNK_PERIODS, MYOPIC, ExplicitThreshold,
                                   FixedBeta, OptimalThreshold, estimate_throughput,
-                                  resolve_policy, simulate_periods)
+                                  optimal_solution, resolve_policy, simulate_periods)
 from relayprobe.solver import closed_form_onoff, solve_mu_star
 from solver_oracles import bisect_mu_star, ordinary_value
 
@@ -82,6 +83,33 @@ def test_criterion_1_closed_form_oracle():
                     band = 3 * dmu_dq * sigma_q + 1e-9 * cf.mu_star
                     assert abs(sol.mu_star - cf.mu_star) <= band
         assert time.perf_counter() - start < 5.0
+
+
+def test_saturated_geometric_law_meets_the_closed_form():
+    # With tx powers of 230/223 dBm every clear relay reads se_cap, so the
+    # geometric law is the on/off law and its solve is the closed form. The
+    # law has the full LAW_SAMPLES draws, all tied at se_cap.
+    cfg = rp.default_scenario(tx_power_bs=230.0, tx_power_dev=223.0)
+    law = sedist.rate_law(cfg, 0)
+    assert law.samples.size == sedist.LAW_SAMPLES
+    assert law.samples[0] == law.samples[-1] == cfg.se_cap == 8.0
+    # The tolerance comes from the rounding of each side's terms. se_cap = 8
+    # is a power of two, so every partial sum k*8 (k <= 10**6) is exact and,
+    # for every 0 <= rho <= 8, mean_above(rho) = fl(p**2)*8 and tail_prob(rho)
+    # = fl(p**2) (1 at rho = 0). Newton's steps 2 and 3 read the same values,
+    # so the solve stops at step 3 with W*T*(fl(p**2)*8) / (T*fl(p**2) +
+    # tau*(1+p)): 9 roundings, p**2 counted twice since pow is within one
+    # ulp. The closed form W*T*p*p*8 / ((1+p)*tau + p*p*T) has 7. Each
+    # rounding of a positive term adds at most u relative error, so the two
+    # differ by less than 1.01*16u; threshold_se divides each by W once more.
+    u = 2.0 ** -53
+    for p in (0.1, 0.5, 0.9):
+        for tau in (0.001, 0.01, 0.05):
+            geo = optimal_solution(dataclasses.replace(cfg, p_avail=p, tau=tau), 0)
+            cf = closed_form_onoff(p, cfg.se_cap, cfg.bandwidth_W, cfg.T_data, tau)
+            assert geo.method == "newton_ratio" and geo.iterations == 3
+            assert abs(geo.mu_star - cf.mu_star) <= 17 * u * cf.mu_star
+            assert abs(geo.threshold_se - cf.threshold_se) <= 19 * u * cf.threshold_se
 
 
 # --- criterion 2: simulation validates the analytic throughput ------------

@@ -484,6 +484,112 @@ class TestRateFloor:
         assert sum(d.size for _, d, _ in hop_calls) / 2 <= 1.1 * accepted
 
 
+# the unit roundoff of a double
+U = 2.0 ** -53
+
+# source and destination off the axis, the destination inside the disk
+ASYMMETRIC = rp.default_scenario(
+    p_avail=0.6, source_pos=(-400.0, 30.0), dest_pos=(60.0, -45.0),
+    relay_region=RelayRegion((-50.0, 20.0), 180.0), shadow_sigma=12.0,
+    pathloss_b=31.7, tx_power_dev=17.0)
+
+
+def hop_db_errors(cfg, hop_calls):
+    """Per hop, for each dual-clear relay, a bound on how far the sampler's
+    SNR in dB lies from its exact value. The budget rounds 16 times: d/1km,
+    log10 (within an ulp, so twice), the product by b, + a, the two gain
+    sums, - pathloss, + shadowing, - noise, / 10, and the noise power's own
+    five (log10 twice, * 10 and two sums). Each rounding errs by at most U
+    times M, the sum of the magnitudes of every dB term, since every partial
+    result is a partial sum of them."""
+    noise = (abs(cfg.noise_psd) + abs(10.0 * math.log10(cfg.bandwidth_W))
+             + abs(cfg.noise_figure))
+    errors = []
+    for (_, tx, g_tx, g_rx), (tx_called, d, shadow) in zip(channel._hops(cfg), hop_calls):
+        assert tx_called == tx
+        m = (abs(tx) + abs(g_tx) + abs(g_rx) + abs(cfg.pathloss_a) + noise
+             + abs(cfg.pathloss_b) * (np.abs(np.log10(d / 1000.0)) + 1.0) + np.abs(shadow))
+        errors.append(16 * U * m)
+    return errors
+
+
+def rate_tolerance(cfg, db_error):
+    """How far two rates may lie apart when their weaker hops' SNRs in dB lie
+    db_error apart: the minimum of the hops moves by at most the larger
+    hop's error; 10**(x/10) then moves by ln(10)/10 relative per dB and
+    rounds within an ulp on each side, + 1 rounds once on each side, and
+    0.5*log2 moves by 1/(2 ln 2) per relative change and rounds within an
+    ulp of a rate of at most se_cap on each side (the cap itself is exact)."""
+    return (math.log(10.0) / 10.0 * db_error + 6 * U) / (2 * math.log(2.0)) + 4 * U * cfg.se_cap
+
+
+class TestModelIdentities:
+    """Transformations of a config under which each relay's rate is the
+    same in exact arithmetic. On one stream the sampler must draw the same
+    blockage and the same clear set, and each rate may move only by the
+    rounding of the link budget on either side (`hop_db_errors`). At floor 0
+    every dual-clear relay is priced, in index order, in each hop's call."""
+
+    @staticmethod
+    def draw(cfg, hop_calls, n=2 * 10 ** 5):
+        hop_calls.clear()
+        rng = np.random.default_rng([12, n])
+        chi1, chi2, se = sample_two_hop_se_batch(rng, cfg, n)
+        return (chi1, chi2, se, rng.bit_generator.state, hop_db_errors(cfg, hop_calls),
+                [d for _, d, _ in hop_calls])
+
+    def assert_same_rates(self, cfg, twin, hop_calls, distance_error=None):
+        chi1, chi2, se, state, errors, dists = self.draw(cfg, hop_calls)
+        twin_chi1, twin_chi2, twin_se, twin_state, twin_errors, _ = self.draw(twin, hop_calls)
+        assert np.array_equal(chi1, twin_chi1) and np.array_equal(chi2, twin_chi2)
+        assert state == twin_state
+        clear = (chi1 & chi2).astype(bool)
+        assert np.array_equal(se > 0.0, clear) and np.array_equal(twin_se > 0.0, clear)
+        db_error = []
+        for hop in range(2):
+            e = errors[hop] + twin_errors[hop]
+            if distance_error is not None:
+                # b*log10(d) moves by |b|/ln(10) per relative change of d
+                d = dists[hop]
+                e = e + abs(cfg.pathloss_b) * distance_error(d) / (d * math.log(10.0))
+            db_error.append(e)
+        tol = rate_tolerance(cfg, np.maximum(*db_error))
+        assert np.all(np.abs(se[clear] - twin_se[clear]) <= tol)
+        # most rates lie below the cap, so the check is not vacuous
+        assert np.mean(se[clear] < cfg.se_cap) > 0.5
+
+    @pytest.mark.parametrize("cfg", [rp.default_scenario(), ASYMMETRIC],
+                             ids=["default", "asymmetric"])
+    def test_db_shift_of_pathloss_and_tx_powers(self, cfg, hop_calls):
+        shift = 17.25
+        twin = replace(cfg, pathloss_a=cfg.pathloss_a + shift,
+                       tx_power_bs=cfg.tx_power_bs + shift,
+                       tx_power_dev=cfg.tx_power_dev + shift)
+        self.assert_same_rates(cfg, twin, hop_calls)
+
+    @pytest.mark.parametrize("cfg", [rp.default_scenario(), ASYMMETRIC],
+                             ids=["default", "asymmetric"])
+    def test_translation_of_the_geometry(self, cfg, hop_calls):
+        tx, ty = 1234.5, -987.25
+        region = cfg.relay_region
+        twin = replace(cfg, source_pos=(cfg.source_pos[0] + tx, cfg.source_pos[1] + ty),
+                       dest_pos=(cfg.dest_pos[0] + tx, cfg.dest_pos[1] + ty),
+                       relay_region=RelayRegion((region.center[0] + tx, region.center[1] + ty),
+                                                region.radius))
+        # every shifted coordinate is exact, so the two geometries are one
+        # geometry translated
+        for a, b in ((cfg.source_pos, twin.source_pos), (cfg.dest_pos, twin.dest_pos),
+                     (region.center, twin.relay_region.center)):
+            assert b[0] - tx == a[0] and b[1] - ty == a[1]
+        # Both sides compute the same r*cos(theta) and r*sin(theta). Adding
+        # the centre rounds within U*(R + |centre coordinate|), subtracting
+        # the endpoint within U*|difference|, and hypot within an ulp of d,
+        # so the two distances lie within U*(4R + |c|_1 + |c'|_1) + 7*U*d.
+        spread = 4 * region.radius + sum(map(abs, region.center + twin.relay_region.center))
+        self.assert_same_rates(cfg, twin, hop_calls,
+                               distance_error=lambda d: U * spread + 7 * U * d)
+
+
 class TestScenarioConfig:
     def test_json_round_trip(self, cfg, tmp_path):
         path = tmp_path / "cfg.json"

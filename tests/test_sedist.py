@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -98,23 +99,61 @@ class TestConstruction:
         with pytest.raises(ValueError):
             EmpiricalSe([])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        # a NaN sorts last, where the nonnegativity check does not see it,
+        # and an inf sample would make mu* infinite
+        with pytest.raises(ValueError):
+            EmpiricalSe([1.0, bad])
+        with pytest.raises(ValueError):
+            EmpiricalSe(np.array([bad, 2.0, 0.5]))
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 197, 2 * 10 ** 5])
+    @pytest.mark.parametrize("kind", ["uniform", "few_values", "all_tied"])
+    def test_queries_equal_the_full_suffix_sums(self, n, kind):
+        # The law keeps the suffix sum at every s-th sample, s = ceil(sqrt(n));
+        # a query adds the samples below its anchor from the largest down, the
+        # order a reversed cumsum over all samples adds them, so every query
+        # has the bits of the full suffix sums. 63, 64, 65 and 197 end on a
+        # short block, on a full one and one past it (s = 8, 8, 9 and 15).
+        rng = np.random.default_rng(n)
+        draws = {"uniform": lambda: rng.random(n) * 8.0,
+                 "few_values": lambda: rng.choice([0.0, 0.3, 1.7, 2.0], n),
+                 "all_tied": lambda: np.full(n, 2.7)}[kind]()
+        s = np.sort(draws)
+        suffix = np.concatenate([np.cumsum(s[::-1])[::-1], [0.0]])
+        law = EmpiricalSe(draws)
+        stride = law._stride
+        assert stride == math.ceil(math.sqrt(n))
+        assert law._anchors.size == -(-n // stride) + 1
+        distinct = np.unique(s)
+        if distinct.size > 10 ** 4:
+            # the samples at and either side of each anchor, and 2000 others
+            at = np.arange(0, n, stride)
+            idx = np.concatenate([at, at[1:] - 1, at[:-1] + 1, rng.integers(0, n, 2000)])
+            distinct = np.unique(s[idx])
+        rhos = np.concatenate([[0.0], distinct, (distinct[:-1] + distinct[1:]) / 2,
+                               [s[-1] * 1.5 + 1.0]])
+        for rho in rhos.tolist():
+            i = int(np.searchsorted(s, rho))
+            for q in (law, law.at(0.7)):
+                mean, got = q._clear * (suffix[i] / n), q.mean_above(rho)
+                assert got == mean and type(got) is float
+                assert q.expected_excess(rho) == mean - rho * q.tail_prob(rho)
+
     def test_suffix_sums_built_in_place(self):
-        # the suffix sums accumulate from the largest sample down, as a
-        # reversed cumsum does, so their bits match it; the samples are
-        # sorted in place, so the suffix array is the build's only new
-        # full-size array, 8 bytes per sample (a sorted copy added 8 more,
-        # a cumsum temporary and a concatenation 8 more still)
+        # the samples are sorted in place and the suffix sums are kept at
+        # every s-th sample only, about sqrt(n) doubles built one stride at a
+        # time, so the constructor allocates under a byte per sample
         samples = np.random.default_rng(0).random(2 * 10 ** 5)
         EmpiricalSe(samples[:10])
         tracemalloc.start()
         try:
-            law = EmpiricalSe(samples)
+            EmpiricalSe(samples)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 9 * samples.size
-        s = np.sort(samples)
-        assert np.array_equal(law._suffix, np.concatenate([np.cumsum(s[::-1])[::-1], [0.0]]))
+        assert peak < samples.size
 
     def test_writable_float_input_is_sorted_in_place(self):
         # a writable float64 array that owns its data becomes the law's
@@ -201,12 +240,14 @@ class TestBuildEmpirical:
         assert np.array_equal(law.samples, np.sort(np.concatenate(blocks)))
 
     def test_law_build_memory_per_sample(self):
-        # the drawn samples, sorted in place, and the suffix sums hold 16
-        # bytes per sample (16.0 measured; a sorted copy added 8 more); a
-        # block's draws add a fixed amount, and one sampler call over every
-        # sample would add more per sample than the bound leaves
+        # the drawn samples, sorted in place, hold 8 bytes per sample and the
+        # anchors about sqrt(n) doubles; a block's draws add about 1 MB
+        # whatever n is, so the law is built at the solver's full size, where
+        # that is 1 byte per sample; a sorted copy, full suffix sums or one
+        # sampler call over every sample would each add more than the bound
+        # leaves
         cfg = rp.default_scenario()
-        n = 2 * 10 ** 5
+        n = sedist.LAW_SAMPLES
         build_empirical(cfg, 1000, np.random.default_rng(0))
         tracemalloc.start()
         try:
@@ -214,7 +255,7 @@ class TestBuildEmpirical:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 18 * n
+        assert peak < 10 * n
 
     def test_invalid_sample_count(self):
         cfg = rp.default_scenario()
@@ -296,7 +337,8 @@ class TestClearLawMemo:
 
     def test_cached_law_is_read_only(self, builds):
         law = sedist._clear_law(rp.default_scenario(p_avail=1.0), 0, 1000)
-        assert law.at(0.4).samples is law.samples
-        for arr in (law.samples, law._suffix):
+        composed = law.at(0.4)
+        assert composed.samples is law.samples and composed._anchors is law._anchors
+        for arr in (law.samples, law._anchors):
             with pytest.raises(ValueError):
                 arr[0] = 1.0

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import relayprobe as rp
 from relayprobe import solver
-from relayprobe.sedist import EmpiricalSe
+from relayprobe.sedist import EmpiricalSe, build_empirical
 from relayprobe.solver import (ConvergenceError, DegenerateDistributionError,
                                closed_form_onoff, solve_mu_star)
 from solver_oracles import (InfeasibleError, bisect_mu_star, newton_iterates,
@@ -227,6 +228,16 @@ class TestOrdinaryValue:
 
 
 class TestSolution:
+    def test_solutions_hold_builtin_floats(self):
+        # one float type whichever path solved: the Newton loop on an on/off
+        # law and on a drawn geometric law, and the closed form
+        geo = build_empirical(rp.default_scenario(), 10 ** 4, np.random.default_rng(0))
+        for sol in (solve_mu_star(ONOFF, 1.0, 1.0, 0.01, 0.5),
+                    solve_mu_star(geo, 500e6, 1.0, 0.01, 0.5),
+                    closed_form_onoff(0.5, 2.0, 1.0, 1.0, 0.01)):
+            for value in (sol.mu_star, sol.threshold_se, sol.residual):
+                assert type(value) is float
+
     def test_json_schema(self, tmp_path):
         for sol in (closed_form_onoff(0.5, 2.0, 1.0, 1.0, 0.01),
                     solve_mu_star(ONOFF, 1.0, 1.0, 0.01, 0.5)):
