@@ -14,8 +14,7 @@ own whole chunks.
 from __future__ import annotations
 
 import math
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,11 +32,17 @@ MAX_PROBES = 10 ** 6
 MAX_PERIODS = 10 ** 7
 # batch-means error bars split the periods into this many batches
 N_BATCHES = 30
-# helpers are forked, not started by Python 3.14's POSIX default forkserver:
-# a forked helper has numpy imported and sees every module constant as the
-# caller set it, MAX_PROBES included
-_POOL_CONTEXT = (multiprocessing.get_context("fork")
-                 if "fork" in multiprocessing.get_all_start_methods() else None)
+
+
+def __getattr__(name):
+    # the pool class loads multiprocessing and concurrent.futures.process,
+    # which only a multi-worker row needs: it is imported on first access and
+    # kept as a module global, which callers may rebind
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class RunawayPeriodError(RuntimeError):
@@ -176,7 +181,15 @@ def simulate_periods(policy: StoppingPolicy, cfg: ScenarioConfig, n_periods: int
         w = min(workers, n_chunks)
         # a forked helper would otherwise pay numpy's first-Generator setup
         np.random.default_rng(0)
-        pool = ProcessPoolExecutor(max_workers=w - 1, mp_context=_POOL_CONTEXT)
+        # read as a module attribute, so a rebound class is the one started
+        pool_class = sys.modules[__name__].ProcessPoolExecutor
+        import multiprocessing
+        # helpers are forked, not started by Python 3.14's POSIX default
+        # forkserver: a forked helper has numpy imported and sees every
+        # module constant as the caller set it, MAX_PROBES included
+        context = (multiprocessing.get_context("fork")
+                   if "fork" in multiprocessing.get_all_start_methods() else None)
+        pool = pool_class(max_workers=w - 1, mp_context=context)
         try:
             helped = {i: pool.submit(_simulate_chunk, *a)
                       for i, a in enumerate(args) if i % w}

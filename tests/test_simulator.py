@@ -2,9 +2,13 @@ import csv
 import dataclasses
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
 import tracemalloc
 from concurrent.futures import Future
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -413,6 +417,53 @@ class TestDeterminism:
         a = estimate_throughput(MYOPIC, cfg, 5000, seed=1)
         b = estimate_throughput(MYOPIC, cfg, 5000, seed=2)
         assert a.throughput_bps != b.throughput_bps
+
+
+# run in a fresh interpreter, since pytest's own process already holds
+# multiprocessing; argv[1] says what follows the single-worker row
+POOL_IMPORT_SCRIPT = """
+import dataclasses, sys
+import numpy as np
+import relayprobe, relayprobe.cli
+from relayprobe import simulator
+
+def loaded():
+    return [m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules]
+
+cfg = relayprobe.default_scenario(p_avail=0.5, tau=0.01, se_cap=2.0,
+                                  bandwidth_W=1.0, channel_mode="onoff")
+n = simulator.CHUNK_PERIODS + 1
+serial = simulator.simulate_periods(simulator.MYOPIC, cfg, n, seed=8, workers=1)
+assert loaded() == [], loaded()
+try:
+    simulator.NoSuchName
+except AttributeError:
+    pass
+else:
+    raise AssertionError("simulator.NoSuchName resolved")
+assert loaded() == [], loaded()
+if sys.argv[1] == "resolve":
+    pool_class = simulator.ProcessPoolExecutor
+    from concurrent.futures import ProcessPoolExecutor
+    assert pool_class is ProcessPoolExecutor is vars(simulator)["ProcessPoolExecutor"]
+else:
+    pooled = simulator.simulate_periods(simulator.MYOPIC, cfg, n, seed=8, workers=2)
+    assert loaded() == ["multiprocessing", "concurrent.futures"], loaded()
+    assert all(np.array_equal(a, b) for a, b in
+               zip(dataclasses.astuple(pooled), dataclasses.astuple(serial)))
+"""
+
+
+@pytest.mark.parametrize("then", ["resolve", "pooled_row"])
+def test_single_worker_run_loads_no_pool_modules(then):
+    # the pool class and its fork context load with the first multi-worker
+    # row; before that, the stdlib class still resolves on first access
+    src = str(Path(rp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", POOL_IMPORT_SCRIPT, then],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 # one perturbation per ScenarioConfig field, each away from
