@@ -70,7 +70,7 @@ def parse_strategy(name: str, threshold_value: float | None = None):
 
     Accepted: optimal, myopic, fixed:<beta>, threshold:<rho>, and bare
     "threshold" when the sweep variable supplies the threshold value. The
-    "genie" bound is not a policy; `sweep_rows` writes it directly.
+    "genie" bound is not a policy; `plan` writes it directly.
     """
     if name == "optimal":
         return OptimalThreshold()
@@ -87,37 +87,54 @@ def parse_strategy(name: str, threshold_value: float | None = None):
     raise ValueError(f"unknown strategy {name!r}")
 
 
+def _row_outcome(make, *args):
+    """make(*args), or the text of the error that fails only its own row."""
+    try:
+        return make(*args)
+    except (RunawayPeriodError, solver.ConvergenceError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _plan_row(cfg, spec, value, strategy):
+    cfg_pt = replace(cfg, **{spec.variable: value} if spec.variable != "threshold" else {})
+    if strategy == "genie":
+        # free perfect relay knowledge: W*se_cap bit/s with no probing,
+        # exact on on/off links, an upper bound on geometric
+        genie_bps = float(cfg_pt.bandwidth_W * cfg_pt.se_cap)
+        return simulator.ThroughputEstimate(genie_bps, 0.0, spec.n_periods)
+    policy = parse_strategy(strategy, value if spec.variable == "threshold" else None)
+    return simulator.resolve_policy(policy, cfg_pt, spec.seed), cfg_pt
+
+
+def plan(cfg: ScenarioConfig, spec: SweepSpec) -> tuple:
+    """(value, strategy, work) per row, work being the resolved policy and point
+    config, the genie's estimate or the error text; then the rate law is released."""
+    rows = tuple((value, strategy, _row_outcome(_plan_row, cfg, spec, value, strategy))
+                 for value in spec.grid for strategy in spec.strategies)
+    sedist.release_law()
+    return rows
+
+
+def run(plan: tuple, n_periods: int, seed: int, workers: int = 1) -> list:
+    """One result per planned row: its estimate, or the text of its error."""
+    return [_row_outcome(simulator.estimate_throughput, *work, n_periods, seed, workers)
+            if isinstance(work, tuple) else work for _, _, work in plan]
+
+
 def sweep_rows(cfg: ScenarioConfig, spec: SweepSpec, workers: int = 1) -> list[list]:
-    """Execute a sweep, yielding one row per (grid value, strategy) in
-    deterministic order. Per-point errors, a grid value the config rejects
-    included, go in the `error` column and the sweep continues."""
+    """Plan, run and format a sweep, one row per (grid value, strategy) in order. A
+    row's error, a grid value the config rejects included, fills its `error` column."""
+    planned = plan(cfg, spec)
+    results = run(planned, spec.n_periods, spec.seed, workers)
     rows = []
-    for value in spec.grid:
-        point = {spec.variable: value} if spec.variable in ("p_avail", "tau") else {}
-        threshold = value if spec.variable == "threshold" else None
-        for strategy in spec.strategies:
-            est_fields = ["", ""]
-            err = ""
-            try:
-                cfg_pt = replace(cfg, **point)
-                if strategy == "genie":
-                    # free perfect relay knowledge: W*se_cap bit/s with no
-                    # probing, exact on on/off links, an upper bound on geometric
-                    genie_bps = float(cfg_pt.bandwidth_W * cfg_pt.se_cap)
-                    est_fields = [repr(genie_bps), repr(0.0)]
-                else:
-                    policy = parse_strategy(strategy, threshold)
-                    est = simulator.estimate_throughput(
-                        policy, cfg_pt, spec.n_periods, spec.seed, workers)
-                    est_fields = [repr(est.throughput_bps), repr(est.stderr_bps)]
-            except (RunawayPeriodError, solver.ConvergenceError, ValueError) as exc:
-                err = f"{type(exc).__name__}: {exc}"
-            rows.append([spec.variable, repr(value), strategy,
-                         repr(point.get("p_avail", cfg.p_avail)),
-                         repr(point.get("tau", cfg.tau)),
-                         repr(cfg.T_data), repr(cfg.bandwidth_W),
-                         est_fields[0], est_fields[1],
-                         spec.n_periods, spec.seed, err])
+    for (value, strategy, _), result in zip(planned, results):
+        err = result if isinstance(result, str) else ""
+        rows.append([spec.variable, repr(value), strategy,
+                     repr(value if spec.variable == "p_avail" else cfg.p_avail),
+                     repr(value if spec.variable == "tau" else cfg.tau),
+                     repr(cfg.T_data), repr(cfg.bandwidth_W),
+                     *(["", ""] if err else [repr(result.throughput_bps), repr(result.stderr_bps)]),
+                     spec.n_periods, spec.seed, err])
     return rows
 
 

@@ -127,3 +127,8 @@ def rate_law(cfg, seed: int) -> EmpiricalSe:
 def _clear_law(clear_cfg, seed: int, n_samples: int) -> EmpiricalSe:
     # looked up at each call, so a wrapper set on `sedist.build_empirical` sees every build
     return build_empirical(clear_cfg, n_samples, np.random.default_rng([seed, 2 ** 31]))
+
+
+def release_law() -> None:
+    """Drop the kept clear-link law; the next `rate_law` builds it again."""
+    _clear_law.cache_clear()

@@ -2,6 +2,7 @@ import csv
 import json
 import re
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +10,9 @@ import pytest
 from click.testing import CliRunner
 
 import relayprobe as rp
-from relayprobe import sedist, solver
+from relayprobe import sedist, simulator, solver
 from relayprobe.cli import (SWEEP_COLUMNS, SweepSpec, main, parse_strategy,
-                            run_sweep)
+                            run_sweep, sweep_rows)
 from relayprobe.simulator import (MYOPIC, ExplicitThreshold, FixedBeta,
                                   OptimalThreshold, optimal_solution)
 
@@ -470,3 +471,36 @@ class TestRunSweepDeterminism:
             run_sweep(cfg, spec, out, workers=workers)
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestPlanThenRun:
+    def test_law_released_before_any_row_runs(self, monkeypatch):
+        # a cold geometric p sweep solves every optimal row on one law and
+        # frees it before the first row is simulated, so the sweep's traced
+        # peak is the law build's own: 256 KiB of slack is under half of
+        # what these 2,000-period rows add on top of a held law (0.58 MB)
+        sedist._clear_law.cache_clear()
+        build_peaks, held = [], []
+        build, simulate = sedist.build_empirical, simulator.simulate_periods
+
+        def build_traced(*args):
+            law = build(*args)
+            build_peaks.append(tracemalloc.get_traced_memory()[1])
+            return law
+
+        def simulate_held(*args):
+            held.append(sedist._clear_law.cache_info().currsize)
+            return simulate(*args)
+
+        monkeypatch.setattr(sedist, "build_empirical", build_traced)
+        monkeypatch.setattr(simulator, "simulate_periods", simulate_held)
+        spec = SweepSpec("p_avail", (0.2, 0.5, 0.8), ("optimal", "myopic", "fixed:5"), 2000, 1)
+        tracemalloc.start()
+        try:
+            rows = sweep_rows(rp.default_scenario(), spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [r[-1] for r in rows] == [""] * 9
+        assert len(build_peaks) == 1 and held == [0] * 9
+        assert peak <= build_peaks[0] + 2 ** 18

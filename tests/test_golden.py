@@ -38,6 +38,14 @@ GEO_THRESHOLD_GRID = [0.34, 0.9275, 1.515, 2.1025, 2.69]
 GEO_THRESHOLD_SPEC = {"variable": "threshold", "grid": GEO_THRESHOLD_GRID,
                       "strategies": ["threshold", "optimal", "myopic", "fixed:5"],
                       "n_periods": 4000, "seed": 3}
+# every kind of row that fails, among rows that do not, on the on/off config:
+# a grid value the config rejects, an unknown strategy, a bare threshold
+# outside a threshold sweep, a runaway threshold and a fixed count above MAX_PROBES;
+# 9,000 periods are three chunks, so --workers 2 and 3 fork helpers
+ERROR_SPEC = {"variable": "p_avail", "grid": [0.5, 1.5],
+              "strategies": ["optimal", "genie", "bogus", "threshold", "threshold:9.0",
+                             "fixed:1000000000", "myopic"],
+              "n_periods": 9000, "seed": 3}
 
 
 def run(*commands) -> None:
@@ -53,9 +61,19 @@ def write_inputs(cfg, work: Path, spec=SPEC) -> tuple[Path, Path]:
     return cfg_path, spec_path
 
 
+def onoff_scenario():
+    return rp.default_scenario(p_avail=0.5, tau=0.01, channel_mode="onoff")
+
+
+def write_error_rows(out: Path, work: Path, workers: int = 1) -> None:
+    """Write the ERROR_SPEC sweep into `out`/errors.csv, with inputs in `work`."""
+    cfg_path, spec_path = write_inputs(onoff_scenario(), work, ERROR_SPEC)
+    run(["sweep", cfg_path, spec_path, "--workers", workers, "--out", out / "errors.csv"])
+
+
 def write_outputs(out: Path, work: Path) -> None:
     """Write every output in OUTPUTS into `out`, with inputs in `work`."""
-    cfg = rp.default_scenario(p_avail=0.5, tau=0.01, channel_mode="onoff")
+    cfg = onoff_scenario()
     cfg_path, spec_path = write_inputs(cfg, work)
     run(["sweep", cfg_path, spec_path, "--out", out / "sweep.csv"],
         ["figure", cfg_path, "--figure-id", "threshold_sweep", "--seed", "3",
@@ -82,6 +100,12 @@ def test_onoff_outputs_equal_golden(tmp_path):
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_error_rows_equal_golden(tmp_path, workers):
+    write_error_rows(tmp_path, tmp_path, workers)
+    assert (tmp_path / "errors.csv").read_bytes() == (GOLDEN / "errors.csv").read_bytes()
+
+
 def test_geometric_outputs_equal_golden(tmp_path):
     recorded = NUMPY_VERSION.read_text().strip()
     if recorded != np.__version__:
@@ -97,5 +121,6 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as work:
         write_outputs(GOLDEN, Path(work))
+        write_error_rows(GOLDEN, Path(work))
         write_geo_outputs(GOLDEN / "geo", Path(work))
     NUMPY_VERSION.write_text(np.__version__ + "\n")

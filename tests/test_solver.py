@@ -1,8 +1,9 @@
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import relayprobe as rp
 from relayprobe import solver
@@ -138,16 +139,20 @@ class TestSolveMuStar:
     @given(law=rate_laws(), tau=st.floats(1e-4, 1.0), T=st.floats(0.01, 10.0),
            W=st.floats(1.0, 1e9))
     @settings(max_examples=150, deadline=None)
+    # the root W sits on the atom at 1, and the second iterate rounds one ulp
+    # above it: 407182985.67, 502990747.00000006, 502990747.0
+    @example(law=(EmpiricalSe([0.0, 0.0, 0.0, 0.0, 1.0, 8.0, 8.0]).at(1.0), 1.0),
+             tau=1.0, T=1.0, W=502990747.0)
     def test_newton_property(self, law, tau, T, W):
-        # Newton equals bisection, rises from its second iterate, and zeroes
-        # the ordinary value
+        # Newton equals bisection, rises from its second iterate up to the
+        # rounding of one step, and zeroes the ordinary value
         dist, p = law
         sol = solve_mu_star(dist, W, T, tau, p)
         assert sol.mu_star == pytest.approx(
             bisect_mu_star(dist, W, T, tau, p).mu_star, rel=1e-9)
         trace = newton_iterates(dist, W, T, tau, p)
         assert len(trace) == sol.iterations and trace[-1] == sol.mu_star
-        assert all(a <= b for a, b in zip(trace[1:], trace[2:]))
+        assert all(a <= math.nextafter(b, math.inf) for a, b in zip(trace[1:], trace[2:]))
         v = ordinary_value(dist, sol.mu_star, W, T, tau, p)
         assert abs(v) <= 1e-8 * W * T * dist.samples[-1]
 
