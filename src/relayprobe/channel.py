@@ -77,7 +77,7 @@ class ScenarioConfig:
             if name in ("source_pos", "dest_pos"):
                 object.__setattr__(self, name, _point(getattr(self, name), name))
             elif name not in ("relay_region", "channel_mode"):
-                check_number(getattr(self, name), name)
+                object.__setattr__(self, name, check_number(getattr(self, name), name))
         if not isinstance(self.relay_region, RelayRegion):
             raise ConfigError(f"relay_region must be a RelayRegion, got {self.relay_region!r}")
         if not (0.0 < self.p_avail <= 1.0):
@@ -125,14 +125,15 @@ class ScenarioConfig:
 
 def check_number(value, name: str, integer: bool = False):
     """The one rule for an outside number (configs, sweep specs, stop rules):
-    an int or float (np.float64 is one), or with `integer` any integer type,
-    returned as int; never a bool; in float range, exact for ints."""
+    an int or float (np.float64 is one), or with `integer` any integer type;
+    never a bool; in float range, exact for ints. Returned as a builtin int
+    or float, so a numpy scalar neither overflows nor shows in a repr."""
     if (isinstance(value, bool)
             or not isinstance(value, numbers.Integral if integer else (int, float))
             or not abs(value) <= sys.float_info.max):
         kind = "a finite integer" if integer else "a finite number"
         raise ConfigError(f"{name} must be {kind}, got {value!r}")
-    return int(value) if integer else value
+    return int(value) if isinstance(value, numbers.Integral) else float(value)
 
 
 def load_object(path, what: str) -> dict:

@@ -70,7 +70,7 @@ def parse_strategy(name: str, threshold_value: float | None = None):
 
     Accepted: optimal, myopic, fixed:<beta>, threshold:<rho>, and bare
     "threshold" when the sweep variable supplies the threshold value. The
-    "genie" bound is not a policy; `plan` writes it directly.
+    "genie" bound is not a policy; `_plan_row` writes it directly.
     """
     if name == "optimal":
         return OptimalThreshold()
@@ -106,28 +106,18 @@ def _plan_row(cfg, spec, value, strategy):
     return simulator.resolve_policy(policy, cfg_pt, spec.seed), cfg_pt
 
 
-def plan(cfg: ScenarioConfig, spec: SweepSpec) -> tuple:
-    """(value, strategy, work) per row, work being the resolved policy and point
-    config, the genie's estimate or the error text; then the rate law is released."""
-    rows = tuple((value, strategy, _row_outcome(_plan_row, cfg, spec, value, strategy))
-                 for value in spec.grid for strategy in spec.strategies)
-    sedist.release_law()
-    return rows
-
-
-def run(plan: tuple, n_periods: int, seed: int, workers: int = 1) -> list:
-    """One result per planned row: its estimate, or the text of its error."""
-    return [_row_outcome(simulator.estimate_throughput, *work, n_periods, seed, workers)
-            if isinstance(work, tuple) else work for _, _, work in plan]
-
-
-def sweep_rows(cfg: ScenarioConfig, spec: SweepSpec, workers: int = 1) -> list[list]:
-    """Plan, run and format a sweep, one row per (grid value, strategy) in order. A
+def sweep_rows(series: list[tuple[ScenarioConfig, SweepSpec]], workers: int = 1) -> list[list]:
+    """Plan every row of a command's (config, spec) series, then run and format
+    them, one row per (grid value, strategy) in order. The plan resolves each
+    optimal threshold; the rate law is then released, before any row runs. A
     row's error, a grid value the config rejects included, fills its `error` column."""
-    planned = plan(cfg, spec)
-    results = run(planned, spec.n_periods, spec.seed, workers)
+    planned = [(cfg, spec, value, strategy, _row_outcome(_plan_row, cfg, spec, value, strategy))
+               for cfg, spec in series for value in spec.grid for strategy in spec.strategies]
+    sedist.release_law()
     rows = []
-    for (value, strategy, _), result in zip(planned, results):
+    for cfg, spec, value, strategy, work in planned:
+        result = (_row_outcome(simulator.estimate_throughput, *work, spec.n_periods,
+                               spec.seed, workers) if isinstance(work, tuple) else work)
         err = result if isinstance(result, str) else ""
         rows.append([spec.variable, repr(value), strategy,
                      repr(value if spec.variable == "p_avail" else cfg.p_avail),
@@ -146,7 +136,7 @@ def write_sweep_csv(out_csv, rows) -> None:
 
 
 def run_sweep(cfg: ScenarioConfig, spec: SweepSpec, out_csv, workers: int = 1) -> int:
-    rows = sweep_rows(cfg, spec, workers)
+    rows = sweep_rows([(cfg, spec)], workers)
     write_sweep_csv(out_csv, rows)
     return len(rows)
 
@@ -213,7 +203,7 @@ def sweep(config_path, sweep_spec_path, out_csv, workers):
     """Run the sweep described by SWEEP_SPEC_PATH and write a CSV."""
     cfg = _load(ScenarioConfig.from_json, config_path, "config")
     spec = _load(SweepSpec.from_json, sweep_spec_path, "sweep spec")
-    rows = sweep_rows(cfg, spec, workers)
+    rows = sweep_rows([(cfg, spec)], workers)
     _write(write_sweep_csv, out_csv, rows)
     click.echo(f"wrote {len(rows)} rows to {out_csv}")
 
@@ -244,7 +234,7 @@ def figure(config_path, figure_id, out_csv, seed, periods, workers):
         grid = tuple(np.linspace(0.2, 1.0, 21) * cfg.se_cap)
         spec = SweepSpec("threshold", grid, ("threshold",), periods, seed)
         series = [(replace(cfg, tau=tau), spec) for tau in THRESHOLD_SWEEP_TAUS]
-    rows = [row for cfg_s, spec in series for row in sweep_rows(cfg_s, spec, workers)]
+    rows = sweep_rows(series, workers)
     _write(write_sweep_csv, out_csv, rows)
     click.echo(f"wrote {len(rows)} rows to {out_csv}")
 

@@ -165,11 +165,13 @@ def simulate_periods(policy: StoppingPolicy, cfg: ScenarioConfig, n_periods: int
                      seed: int, workers: int = 1) -> PeriodArrays:
     """Simulate n_periods independent periods, bit-identical for any workers.
     A period lasts tau per probe and per clear first hop, plus T_data."""
-    if not 1 <= check_number(n_periods, "n_periods", integer=True) <= MAX_PERIODS:
+    # the checked ints are run, so a numpy integer cannot overflow chunk sizes
+    n_periods = check_number(n_periods, "n_periods", integer=True)
+    if not 1 <= n_periods <= MAX_PERIODS:
         raise ConfigError(f"n_periods must be in [1, {MAX_PERIODS}]")
-    if check_number(seed, "seed", integer=True) < 0:
+    if (seed := check_number(seed, "seed", integer=True)) < 0:
         raise ConfigError("seed must be >= 0")
-    if check_number(workers, "workers", integer=True) < 1:
+    if (workers := check_number(workers, "workers", integer=True)) < 1:
         raise ConfigError("workers must be >= 1")
     policy = resolve_policy(policy, cfg, seed)
     n_chunks = (n_periods + CHUNK_PERIODS - 1) // CHUNK_PERIODS
@@ -228,7 +230,7 @@ def estimate_throughput(policy: StoppingPolicy, cfg: ScenarioConfig,
                         n_periods: int, seed: int, workers: int = 1,
                         trace_path=None) -> ThroughputEstimate:
     """Renewal-reward throughput estimate over n_periods periods."""
-    if check_number(n_periods, "n_periods", integer=True) < N_BATCHES:
+    if (n_periods := check_number(n_periods, "n_periods", integer=True)) < N_BATCHES:
         raise ValueError(f"n_periods must be >= {N_BATCHES}")
     arrays = simulate_periods(policy, cfg, n_periods, seed, workers)
     if trace_path is not None:

@@ -464,7 +464,7 @@ class TestRateFloor:
         channel._bound_plan.cache_clear()
         spec = cli.SweepSpec("p_avail", tuple(np.linspace(0.1, 1.0, 10)),
                              ("optimal", "myopic"), 60, 3)
-        rows = cli.sweep_rows(rp.default_scenario(), spec)
+        rows = cli.sweep_rows([(rp.default_scenario(), spec)])
         assert [r[-1] for r in rows] == [""] * 20
         assert channel._bound_plan.cache_info().misses == 1
         channel._bound_plan.cache_clear()
@@ -538,7 +538,7 @@ class TestModelIdentities:
         return (chi1, chi2, se, rng.bit_generator.state, hop_db_errors(cfg, hop_calls),
                 [d for _, d, _ in hop_calls])
 
-    def assert_same_rates(self, cfg, twin, hop_calls, distance_error=None):
+    def assert_same_rates(self, cfg, twin, hop_calls, distance_error=None, db_offset=0.0):
         chi1, chi2, se, state, errors, dists = self.draw(cfg, hop_calls)
         twin_chi1, twin_chi2, twin_se, twin_state, twin_errors, _ = self.draw(twin, hop_calls)
         assert np.array_equal(chi1, twin_chi1) and np.array_equal(chi2, twin_chi2)
@@ -547,7 +547,7 @@ class TestModelIdentities:
         assert np.array_equal(se > 0.0, clear) and np.array_equal(twin_se > 0.0, clear)
         db_error = []
         for hop in range(2):
-            e = errors[hop] + twin_errors[hop]
+            e = errors[hop] + twin_errors[hop] + db_offset
             if distance_error is not None:
                 # b*log10(d) moves by |b|/ln(10) per relative change of d
                 d = dists[hop]
@@ -588,6 +588,50 @@ class TestModelIdentities:
         spread = 4 * region.radius + sum(map(abs, region.center + twin.relay_region.center))
         self.assert_same_rates(cfg, twin, hop_calls,
                                distance_error=lambda d: U * spread + 7 * U * d)
+
+    @pytest.mark.parametrize("cfg", [rp.default_scenario(), ASYMMETRIC],
+                             ids=["default", "asymmetric"])
+    def test_db_shift_of_noise_and_tx_powers(self, cfg, hop_calls):
+        # the noise power is subtracted from the received power as the
+        # pathloss is, so the same shift on it and on the tx powers cancels;
+        # every shifted field is exact, and each side's budget rounds within
+        # its own `hop_db_errors`
+        shift = 4.0
+        twin = replace(cfg, noise_psd=cfg.noise_psd + shift,
+                       tx_power_bs=cfg.tx_power_bs + shift,
+                       tx_power_dev=cfg.tx_power_dev + shift)
+        self.assert_same_rates(cfg, twin, hop_calls)
+
+    @pytest.mark.parametrize("cfg", [rp.default_scenario(), ASYMMETRIC],
+                             ids=["default", "asymmetric"])
+    def test_scale_of_every_length(self, cfg, hop_calls):
+        k = 3.0
+        region = cfg.relay_region
+        twin = replace(cfg, source_pos=tuple(k * c for c in cfg.source_pos),
+                       dest_pos=tuple(k * c for c in cfg.dest_pos),
+                       relay_region=RelayRegion(tuple(k * c for c in region.center),
+                                                k * region.radius),
+                       pathloss_a=cfg.pathloss_a - cfg.pathloss_b * math.log10(k))
+        # every scaled length is exact, so the twin geometry is this one
+        # scaled by k, and each exact distance is k times this one's
+        for a, b in ((cfg.source_pos, twin.source_pos), (cfg.dest_pos, twin.dest_pos),
+                     (region.center, twin.relay_region.center)):
+            assert b[0] / k == a[0] and b[1] / k == a[1]
+        assert twin.relay_region.radius / k == region.radius
+        # Both sides take the same sqrt(u), cos and sin. Against the exact
+        # point from those, r = R*sqrt(u) and r*cos(theta) round within U*R
+        # each and adding the centre within U*(R + |c_x|), so a coordinate
+        # errs by U*(3R + |c_x|); subtracting the endpoint adds U*|dx|, and
+        # |dx| + |dy| <= 2d; hypot adds an ulp, 2*U*d. One side's distance
+        # thus errs by U*(6R + |c|_1) + 4*U*d, relative to d the same on the
+        # twin, whose R, c and d are k times these: twice that on both sides.
+        spread = 6 * region.radius + sum(map(abs, region.center))
+        # the twin's pathloss_a rounds log10(k) (an ulp, 2U relative), the
+        # product by b (U) and the difference (U*|a'|) away from a - b*log10(k)
+        a_error = U * (abs(twin.pathloss_a) + 3 * abs(cfg.pathloss_b) * math.log10(k))
+        self.assert_same_rates(cfg, twin, hop_calls,
+                               distance_error=lambda d: 2 * (U * spread + 4 * U * d),
+                               db_offset=a_error)
 
 
 class TestScenarioConfig:

@@ -497,10 +497,47 @@ class TestPlanThenRun:
         spec = SweepSpec("p_avail", (0.2, 0.5, 0.8), ("optimal", "myopic", "fixed:5"), 2000, 1)
         tracemalloc.start()
         try:
-            rows = sweep_rows(rp.default_scenario(), spec)
+            rows = sweep_rows([(rp.default_scenario(), spec)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert [r[-1] for r in rows] == [""] * 9
         assert len(build_peaks) == 1 and held == [0] * 9
         assert peak <= build_peaks[0] + 2 ** 18
+
+    def test_figure_plans_every_series_before_running_a_row(self, runner, onoff_cfg_path,
+                                                          tmp_path, monkeypatch):
+        # the threshold figure's two overheads form one plan: all 42 rows are
+        # resolved and the law is released once before any row is estimated
+        calls = []
+
+        def record(module, name):
+            original = getattr(module, name)
+
+            def recorded(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, recorded)
+
+        for module, name in ((simulator, "resolve_policy"), (sedist, "release_law"),
+                             (simulator, "estimate_throughput")):
+            record(module, name)
+        res = runner.invoke(main, ["figure", onoff_cfg_path, "--figure-id", "threshold_sweep",
+                                   "--out", str(tmp_path / "fig.csv"), "--periods", "60"])
+        assert res.exit_code == 0, res.output
+        assert calls[:43] == ["resolve_policy"] * 42 + ["release_law"]
+        assert calls.count("release_law") == 1 and calls.count("estimate_throughput") == 42
+
+    def test_numpy_float_config_sweeps_as_builtin_floats(self, tmp_path):
+        # a config stores the builtin floats its checks return, so no numpy
+        # scalar's repr reaches a CSV cell
+        fields = dict(p_avail=0.5, tau=0.01, T_data=1.0, bandwidth_W=1.0)
+        spec = SweepSpec("threshold", (0.5, 1.5), ("threshold", "myopic"), 60, 1)
+        outs = []
+        for convert in (float, np.float64):
+            cfg = rp.default_scenario(se_cap=2.0, channel_mode="onoff",
+                                      **{k: convert(v) for k, v in fields.items()})
+            assert all(type(getattr(cfg, k)) is float for k in fields)
+            run_sweep(cfg, spec, tmp_path / "sweep.csv")
+            outs.append((tmp_path / "sweep.csv").read_bytes())
+        assert outs[0] == outs[1]

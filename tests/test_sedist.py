@@ -291,7 +291,7 @@ class TestClearLawMemo:
             return ExplicitThreshold(rhos[-1])
 
         monkeypatch.setattr(simulator, "resolve_policy", recording)
-        rows = cli.sweep_rows(cfg, spec)
+        rows = cli.sweep_rows([(cfg, spec)])
         assert [r[-1] for r in rows] == ["", "", ""]
         assert len(builds) == 1
         # each row solves exactly the law a fresh build at its p gives

@@ -204,7 +204,7 @@ class TestRunPeriod:
         with pytest.raises(RunawayPeriodError):
             simulator._simulate_chunk(ExplicitThreshold(rho), cfg, 0, 0, 10)
         spec = cli.SweepSpec("p_avail", (0.9,), (f"threshold:{rho!r}",), 100, 0)
-        (row,) = cli.sweep_rows(cfg, spec)
+        (row,) = cli.sweep_rows([(cfg, spec)])
         assert row[-1].startswith("RunawayPeriodError"), row
 
     def test_geometric_mode(self):
@@ -332,6 +332,19 @@ class TestEstimateThroughput:
         assert est.throughput_bps == arr.bits.sum() / arr.period_time.sum()
         assert est.n_periods == 500
 
+    @pytest.mark.parametrize("n_periods", [np.uint8(200), np.int16(30000)])
+    def test_numpy_integer_counts_run_as_ints(self, n_periods):
+        # the checked ints are what runs: a numpy count would carry its dtype
+        # into the chunk arithmetic, where uint8 overflows the first chunk's
+        # size and int16 the chunk count
+        cfg = onoff_cfg()
+        assert_same_arrays(
+            dataclasses.astuple(simulate_periods(MYOPIC, cfg, n_periods, np.uint8(3), np.int8(2))),
+            dataclasses.astuple(simulate_periods(MYOPIC, cfg, int(n_periods), 3, 2)))
+        est = estimate_throughput(MYOPIC, cfg, n_periods, np.int64(3))
+        assert type(est.n_periods) is int
+        assert est == estimate_throughput(MYOPIC, cfg, int(n_periods), 3)
+
 
 class TestDeterminism:
     def test_same_seed_same_result(self):
@@ -404,7 +417,7 @@ class TestDeterminism:
         spec = cli.SweepSpec("p_avail", (0.5,), ("myopic", f"threshold:{rho!r}"), n, 0)
         rows = {}
         for workers in (1, 2, 3):
-            rows[workers] = cli.sweep_rows(cfg, spec, workers)
+            rows[workers] = cli.sweep_rows([(cfg, spec)], workers)
             assert multiprocessing.active_children() == []
             with pytest.raises(RunawayPeriodError):
                 simulate_periods(ExplicitThreshold(rho), cfg, n, 0, workers)
